@@ -6,6 +6,7 @@
 #include <cmath>
 #include <memory>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "graph/generators.h"
@@ -115,6 +116,49 @@ void BM_EngineRoundSparse(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineRoundSparse)
     ->ArgsProduct({{4096, 65536}, {0, 1, 2}, {0, 1}})
+    ->Unit(benchmark::kMillisecond);
+
+// Topology setup series: the build (generator wiring) and validation
+// (is_r_geographic) halves of what `dglab` does before its first round,
+// timed as separate rows.  topo 0 = grid at spacing 1, topo 1 = random
+// geometric at BM_EngineRound's density (side = sqrt(n) / 2.5); r = 1.5;
+// phase 0 = build, 1 = validate.  Both go through geo::BucketIndex, so the
+// rows should grow ~linearly in n.
+graph::DualGraph setup_graph(int topo, std::size_t n) {
+  if (topo == 0) {
+    const auto side =
+        static_cast<std::size_t>(std::sqrt(static_cast<double>(n)));
+    return graph::grid(side, side, 1.0, 1.5);
+  }
+  Rng rng(7);
+  graph::GeometricSpec spec;
+  spec.n = n;
+  spec.side = std::sqrt(static_cast<double>(n)) / 2.5;
+  spec.r = 1.5;
+  return graph::random_geometric(spec, rng);
+}
+
+void BM_GraphSetup(benchmark::State& state) {
+  const int topo = static_cast<int>(state.range(0));
+  const auto n = static_cast<std::size_t>(state.range(1));
+  const bool validate = state.range(2) != 0;
+  state.SetLabel(std::string(topo == 0 ? "grid" : "geometric") +
+                 (validate ? " validate" : " build"));
+  if (validate) {
+    const auto g = setup_graph(topo, n);
+    for (auto _ : state) {
+      benchmark::DoNotOptimize(
+          graph::is_r_geographic(g, *g.embedding(), g.r()));
+    }
+  } else {
+    for (auto _ : state) {
+      benchmark::DoNotOptimize(setup_graph(topo, n).size());
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_GraphSetup)
+    ->ArgsProduct({{0, 1}, {1 << 14, 1 << 16, 1 << 18}, {0, 1}})
     ->Unit(benchmark::kMillisecond);
 
 void BM_SchedulerActive(benchmark::State& state) {

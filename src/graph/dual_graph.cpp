@@ -1,7 +1,9 @@
 #include "graph/dual_graph.h"
 
 #include <algorithm>
+#include <vector>
 
+#include "geo/bucket_index.h"
 #include "util/assert.h"
 
 namespace dg::graph {
@@ -141,11 +143,23 @@ bool is_r_geographic(const DualGraph& g, const geo::Embedding& embedding,
   DG_EXPECTS(embedding.size() == g.size());
   DG_EXPECTS(r >= 1.0);
   const auto n = static_cast<Vertex>(g.size());
+  // (1) d <= 1 implies {u, v} in E: only pairs within the unit radius can
+  // violate it, and the bucket index lists exactly those.
+  const geo::BucketIndex unit(embedding, 1.0);
+  std::vector<Vertex> near;
   for (Vertex u = 0; u < n; ++u) {
-    for (Vertex v = u + 1; v < n; ++v) {
-      const double d = geo::distance(embedding[u], embedding[v]);
-      if (d <= 1.0 && !g.has_reliable_edge(u, v)) return false;
-      if (d > r && g.has_gprime_edge(u, v)) return false;
+    unit.within_above(u, near);
+    for (const Vertex v : near) {
+      if (!g.has_reliable_edge(u, v)) return false;
+    }
+  }
+  // (2) d > r implies {u, v} not in E': only existing G' edges can violate
+  // it, so walk the G' CSR instead of the pairs.
+  for (Vertex u = 0; u < n; ++u) {
+    for (const Vertex v : g.gprime_neighbors(u)) {
+      if (v > u && geo::distance(embedding[u], embedding[v]) > r) {
+        return false;
+      }
     }
   }
   return true;

@@ -141,7 +141,11 @@ inline std::span<const DualGraph::IncidentEdge> DualGraph::unreliable_incident(
 /// Checks the two r-geographic conditions of Section 2 against an embedding:
 ///   (1) d(u, v) <= 1  implies {u, v} in E;
 ///   (2) d(u, v) > r   implies {u, v} not in E'.
-/// Returns true iff both hold for every vertex pair.
+/// Returns true iff both hold for every vertex pair.  Neither condition needs
+/// the far pairs: (1) is checked over the pairs a geo::BucketIndex of radius
+/// 1 lists, (2) over the G' edges, so the cost is O(n * local density + |E'|)
+/// rather than all pairs.  Both use the predicate geo::distance(emb[u],
+/// emb[v]) an all-pairs scan would evaluate, and give the same answer.
 bool is_r_geographic(const DualGraph& g, const geo::Embedding& embedding,
                      double r);
 

@@ -3,6 +3,11 @@
 // re-validate the Section 2 constraints and the analysis tooling can
 // partition the plane.  The purely combinatorial families (contention_star,
 // disjoint_cliques) carry no embedding.
+//
+// The geometric families share one wiring routine: the pairs within
+// distance r come from a geo::BucketIndex, in lexicographic (u, v) order,
+// so the cost is O(n * local density) and the unreliable-edge ids and any
+// grey-zone Rng draws follow the order of an all-pairs scan exactly.
 #pragma once
 
 #include <cstddef>
@@ -30,7 +35,9 @@ DualGraph random_geometric(const GeometricSpec& spec, Rng& rng);
 
 /// Deterministic grid of cols x rows nodes with the given spacing; grey-zone
 /// pairs become unreliable edges (deterministically, for reproducible
-/// multi-hop topologies).  spacing <= 1 keeps the grid G-connected.
+/// multi-hop topologies).  spacing <= 1 keeps the grid G-connected.  Wired
+/// like every geometric family, in O(n * (r / spacing)^2), which keeps the
+/// nightly grid:1000x1000 campaign (10^6 vertices) feasible.
 DualGraph grid(std::size_t cols, std::size_t rows, double spacing, double r);
 
 /// A cluster of n mutually reliable nodes (all inside a ball of diameter 1):

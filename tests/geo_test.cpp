@@ -1,12 +1,18 @@
 // Tests for the plane geometry and the Appendix A region partition:
 // half-open cell assignment, region-graph adjacency, and the f-boundedness
-// property of Lemmas A.1 / A.2.
+// property of Lemmas A.1 / A.2.  Also the spatial bucket index, checked
+// against an all-pairs scan.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <vector>
 
+#include "geo/bucket_index.h"
 #include "geo/point.h"
 #include "geo/region_partition.h"
+#include "util/rng.h"
 
 namespace dg::geo {
 namespace {
@@ -192,6 +198,80 @@ TEST(RegionIdHash, DistinguishesNearbyCells) {
   RegionIdHash h;
   EXPECT_NE(h({0, 1}), h({1, 0}));
   EXPECT_EQ(h({3, 4}), h({3, 4}));
+}
+
+// ---- BucketIndex: every query equals the all-pairs scan's row ----
+
+/// The all-pairs row for u: every v > u within `radius`, ascending.
+std::vector<std::uint32_t> scan_row(const Embedding& pts, std::uint32_t u,
+                                    double radius) {
+  std::vector<std::uint32_t> row;
+  for (auto v = static_cast<std::uint32_t>(u + 1); v < pts.size(); ++v) {
+    if (distance(pts[u], pts[v]) <= radius) row.push_back(v);
+  }
+  return row;
+}
+
+void expect_matches_scan(const Embedding& pts, double radius) {
+  const BucketIndex index(pts, radius);
+  std::vector<std::uint32_t> near;
+  for (std::uint32_t u = 0; u < pts.size(); ++u) {
+    index.within_above(u, near);
+    EXPECT_EQ(near, scan_row(pts, u, radius))
+        << "u=" << u << " radius=" << radius << " n=" << pts.size();
+  }
+}
+
+TEST(BucketIndex, MatchesAllPairsScanOnRandomPoints) {
+  Rng rng(11);
+  for (const double radius : {0.3, 1.0, 1.5, 2.0, 3.0}) {
+    for (const double side : {0.5, 4.0, 20.0}) {
+      Embedding pts(150);
+      for (auto& p : pts) {
+        // Negative and positive coordinates, off the origin.
+        p = Point{rng.uniform(-side, side) - 7.0, rng.uniform(-side, side)};
+      }
+      expect_matches_scan(pts, radius);
+    }
+  }
+}
+
+TEST(BucketIndex, MatchesScanOnLatticesAtTheRadiusAndOnCellEdges) {
+  // Lattice spacings equal to the radius, a hair either side of it, and
+  // equal to the index's own cell side put many pairs exactly at the radius
+  // and many points exactly on cell boundaries.
+  for (const double radius : {1.0, 1.5, 2.0, 3.0}) {
+    const Embedding origin{{0.0, 0.0}};
+    const double cell = BucketIndex(origin, radius).cell_side();
+    for (const double spacing :
+         {radius, std::nextafter(radius, 0.0), std::nextafter(radius, 10.0),
+          radius / 2.0, radius / 3.0, cell, cell / 2.0}) {
+      Embedding pts;
+      for (int j = -4; j < 5; ++j) {
+        for (int i = -4; i < 5; ++i) pts.push_back({i * spacing, j * spacing});
+      }
+      expect_matches_scan(pts, radius);
+    }
+  }
+}
+
+TEST(BucketIndex, HandlesCoincidentSingleAndFarApartPoints) {
+  expect_matches_scan(Embedding{{3.0, -2.0}}, 1.0);
+  expect_matches_scan(Embedding(5, Point{-1.0, -1.0}), 1.0);
+  // Far-apart clusters: the cell grid coarsens to stay O(n) cells, and
+  // still finds every close pair.
+  const Embedding far{{0.0, 0.0}, {0.5, 0.0},    {1e9, 1e9},
+                      {1e9, 1e9 + 0.9}, {-1e9, 0.0}, {-1e9 + 1.0, 0.0}};
+  expect_matches_scan(far, 1.0);
+  EXPECT_LE(BucketIndex(far, 1.0).cell_count(), 3 * (2 * far.size() + 17));
+}
+
+TEST(BucketIndex, SkipsNonFinitePoints) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const Embedding pts{
+      {0.0, 0.0}, {nan, 0.0}, {0.5, 0.0}, {inf, 1.0}, {0.0, 1.0}};
+  expect_matches_scan(pts, 1.0);
 }
 
 }  // namespace

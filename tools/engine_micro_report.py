@@ -92,6 +92,19 @@ def main() -> int:
                 row["sparse"] = int(parts[3])
             except ValueError:
                 pass
+        # BM_GraphSetup/<topo>/<n>/<phase>: topology setup, `topo` 0/1 =
+        # grid / random geometric, `phase` 0/1 = generator build /
+        # is_r_geographic validation.  One iteration is one whole build or
+        # check, so rounds_per_sec reads as setups/sec here.
+        if parts[0] == "BM_GraphSetup" and len(parts) >= 4:
+            try:
+                row["topology"] = {0: "grid", 1: "geometric"}.get(
+                    int(parts[1]), parts[1])
+                row["n"] = int(parts[2])
+                row["phase"] = {0: "build", 1: "validate"}.get(
+                    int(parts[3]), parts[3])
+            except ValueError:
+                pass
         if "items_per_second" in bench:
             row["items_per_sec"] = bench["items_per_second"]
         if "active_fraction" in bench:
@@ -114,9 +127,9 @@ def main() -> int:
     except OSError:
         pass
 
-    columns = ["benchmark", "n", "round_threads", "load", "sparse",
-               "time_ns", "iterations", "rounds_per_sec", "items_per_sec",
-               "active_fraction"]
+    columns = ["benchmark", "topology", "n", "phase", "round_threads",
+               "load", "sparse", "time_ns", "iterations", "rounds_per_sec",
+               "items_per_sec", "active_fraction"]
     report = {
         "elapsed_ms": elapsed_ms,
         "hardware_concurrency": os.cpu_count() or 0,
