@@ -35,7 +35,7 @@ void BM_EngineRound(benchmark::State& state) {
       lb::LbParams::calibrated(0.1, 1.5, g.delta(), g.delta_prime(), scales);
   lb::LbSimulation sim(g, std::make_unique<sim::BernoulliScheduler>(0.5),
                        params, 99);
-  sim.set_round_threads(round_threads);
+  sim.configure(sim::EngineConfig{}.with_round_threads(round_threads));
   sim.keep_busy({0});
   for (auto _ : state) {
     sim.run_round();
@@ -70,9 +70,9 @@ void BM_EngineRoundSparse(benchmark::State& state) {
   params.phases_per_seed = 8;
   lb::LbSimulation sim(g, std::make_unique<sim::BernoulliScheduler>(0.5),
                        params, 99);
-  sim.configure(sim::EngineConfig{}.with_sparse_rounds(sparse));
   obs::Registry registry;
-  sim.set_telemetry(&registry);
+  sim.configure(sim::EngineConfig{}.with_sparse_rounds(sparse).with_telemetry(
+      &registry));
   if (load == 0) {
     std::vector<graph::Vertex> all(g.size());
     std::iota(all.begin(), all.end(), 0);

@@ -64,10 +64,10 @@ class FaultListener {
 };
 
 /// A deterministic per-round fault schedule.  bind() is called once by
-/// Engine::set_fault_plan with the execution's graph and master seed;
-/// plan_round() is then called serially at the top of every round with the
-/// currently-crashed set and appends this round's events.  Events for
-/// already-crashed (crash) / already-up (recover) vertices are ignored by
+/// Engine::configure (EngineConfig::with_fault_plan) with the execution's
+/// graph and master seed; plan_round() is then called serially at the top
+/// of every round with the currently-crashed set and appends this round's
+/// events.  Events for already-crashed (crash) / already-up (recover) vertices are ignored by
 /// the engine, so plans may emit idempotently.
 class FaultPlan {
  public:

@@ -205,49 +205,46 @@ LbSimulation::LbSimulation(const graph::DualGraph& g,
   }
   engine_->add_observer(checker_.get());
   // Honor the DG_ROUND_THREADS default the engine picked up at init: the
-  // setter path also enables the buffered fan-out (without which the
+  // thread-cap path also enables the buffered fan-out (without which the
   // LbProcesses would withhold shard consent and every round would fall
   // back serial).
-  set_round_threads(engine_->round_threads());
+  apply_round_threads(engine_->round_threads());
 }
 
-void LbSimulation::set_fault_plan(fault::FaultPlan* plan) {
-  fault_plan_ = plan;
-  if (plan != nullptr && fault_bridge_ == nullptr) {
-    fault_bridge_ = std::make_unique<FaultBridge>(*this);
-  }
-  engine_->set_fault_plan(plan, plan != nullptr ? fault_bridge_.get()
-                                                : nullptr);
-}
-
-void LbSimulation::set_round_threads(std::size_t threads) {
+void LbSimulation::apply_round_threads(std::size_t threads) {
   const bool shard = threads > 1;
   fanout_->set_buffered(shard, graph_->size());
   engine_->set_round_hooks(shard ? fanout_.get() : nullptr);
   // Last: the engine re-polls shard_safe() here, and the processes' answer
   // depends on the fan-out mode just configured.
-  engine_->set_round_threads(threads);
+  engine_->configure(sim::EngineConfig{}.with_round_threads(threads));
 }
 
 void LbSimulation::configure(const sim::EngineConfig& config) {
-  if (config.round_threads != 0) set_round_threads(config.round_threads);
-  if (config.has_sparse_rounds) {
-    engine_->set_sparse_rounds(config.sparse_rounds);
-  }
+  if (config.round_threads != 0) apply_round_threads(config.round_threads);
+  // Everything else goes to the engine in one call (its fixed order:
+  // oracle switch, fault plan, splices, telemetry), with the wrapper's own
+  // listener and sink bookkeeping swapped in.
+  sim::EngineConfig rest = config;
+  rest.round_threads = 0;
   if (config.has_fault_plan) {
     // The wrapper owns the listener side (its FaultBridge routes engine
     // fault events through the abort/checker/traffic accounting); a
     // caller-supplied listener would silently bypass all of that.
     DG_EXPECTS(config.fault_listener == nullptr);
-    set_fault_plan(config.fault_plan);
-  }
-  for (const sim::SpliceSpec& spec : config.splices) {
-    const std::string err = engine_->splice_stage(spec);
-    DG_EXPECTS(err.empty());
+    fault_plan_ = config.fault_plan;
+    if (fault_plan_ != nullptr && fault_bridge_ == nullptr) {
+      fault_bridge_ = std::make_unique<FaultBridge>(*this);
+    }
+    rest.fault_listener = fault_plan_ != nullptr ? fault_bridge_.get()
+                                                 : nullptr;
   }
   if (config.has_telemetry) {
-    set_telemetry(config.registry, config.trace_sink);
+    obs_registry_ = config.registry;
+    obs_trace_ = config.registry != nullptr ? config.trace_sink : nullptr;
+    rest.trace_sink = obs_trace_;
   }
+  engine_->configure(rest);
 }
 
 LbSimulation::~LbSimulation() = default;
@@ -283,13 +280,6 @@ bool LbSimulation::busy(graph::Vertex v) const {
 
 void LbSimulation::keep_busy(const std::vector<graph::Vertex>& vertices) {
   add_traffic(std::make_unique<traffic::SaturateSource>(vertices));
-}
-
-void LbSimulation::set_telemetry(obs::Registry* registry,
-                                 obs::TraceSink* trace) {
-  obs_registry_ = registry;
-  obs_trace_ = registry != nullptr ? trace : nullptr;
-  engine_->set_telemetry(registry, obs_trace_);
 }
 
 void LbSimulation::export_telemetry() {

@@ -86,18 +86,6 @@ class LbSimulation {
     environment_ = std::move(env);
   }
 
-  /// Installs a crash/recover schedule (see fault/plan.h); the plan must
-  /// outlive the simulation and is bound to this graph + master seed.  The
-  /// wrapper bridges the engine's fault events to the whole stack: a crash
-  /// aborts the vertex's in-flight broadcast through the usual abort
-  /// accounting (spec checker + traffic crash-requeue), then reports the
-  /// crash to the checker's degradation ledger; a recovery notifies the
-  /// injector (admission resumes) and the checker (re-stabilization timer).
-  /// Ack outputs additionally feed FaultPlan::note_progress, so the k-crash
-  /// adversary can target the highest-progress vertices.  Pass nullptr to
-  /// detach.
-  void set_fault_plan(fault::FaultPlan* plan);
-
   // ---- execution ----
 
   void run_round();
@@ -105,23 +93,31 @@ class LbSimulation {
   /// Runs `count` whole LBAlg phases (each params().phase_length() rounds).
   void run_phases(std::int64_t count);
 
-  /// Caps the engine's per-round thread budget and switches the listener
-  /// fan-out accordingly: with threads > 1 the Fanout buffers per-vertex
-  /// recv/ack callbacks during the parallel phases and flushes them at the
-  /// serial between-phase checkpoints, in ascending vertex order -- the
-  /// exact call sequence of the serial loop, so checker reports, traffic
-  /// ledgers and extra listeners are byte-identical at any thread count.
-  /// Constructed simulations start at sim::Engine::default_round_threads()
-  /// (the DG_ROUND_THREADS environment knob).
-  void set_round_threads(std::size_t threads);
-
-  /// Applies a sim::EngineConfig through the wrapper-aware paths: the
-  /// thread cap goes through set_round_threads (fan-out mode + hooks), a
-  /// fault plan through set_fault_plan (the wrapper supplies its own
-  /// FaultBridge listener -- the config must not carry one), splices
-  /// through sim::Engine::splice_stage, and telemetry through
-  /// set_telemetry.  Each piece applies only if set, so a default
-  /// EngineConfig is a no-op.
+  /// Applies a sim::EngineConfig through the wrapper-aware paths, each
+  /// piece only if set (a default EngineConfig is a no-op):
+  ///  - the thread cap also switches the listener fan-out: with threads > 1
+  ///    the Fanout buffers per-vertex recv/ack callbacks during the
+  ///    parallel phases and flushes them at the serial between-phase
+  ///    checkpoints, in ascending vertex order -- the exact call sequence
+  ///    of the serial dispatch, so checker reports, traffic ledgers and
+  ///    extra listeners are byte-identical at any thread count.
+  ///    Constructed simulations start at sim::Engine::
+  ///    default_round_threads() (the DG_ROUND_THREADS environment knob).
+  ///  - a fault plan (see fault/plan.h; it must outlive the simulation,
+  ///    nullptr detaches) is bridged to the whole stack by the wrapper's
+  ///    own FaultBridge listener, so the config must not carry one: a
+  ///    crash aborts the vertex's in-flight broadcast through the usual
+  ///    abort accounting (spec checker + traffic crash-requeue), then
+  ///    reports the crash to the checker's degradation ledger; a recovery
+  ///    notifies the injector (admission resumes) and the checker
+  ///    (re-stabilization timer).  Ack outputs additionally feed
+  ///    FaultPlan::note_progress, so the k-crash adversary can target the
+  ///    highest-progress vertices.
+  ///  - telemetry (registry and sink must outlive the simulation) goes to
+  ///    the engine -- per-round logical counters, phase timing, fault
+  ///    instants -- and arms export_telemetry() for the wrapper-level
+  ///    aggregates.
+  ///  - the oracle switch and splices go to the engine unchanged.
   void configure(const sim::EngineConfig& config);
 
   // ---- access ----
@@ -150,13 +146,6 @@ class LbSimulation {
 
   // ---- telemetry (src/obs/) ----
 
-  /// Installs telemetry before the run (both must outlive the simulation;
-  /// nullptr to remove).  Forwards to the engine -- per-round logical
-  /// counters, phase timing, fault instants -- and arms export_telemetry()
-  /// for the wrapper-level aggregates.
-  void set_telemetry(obs::Registry* registry,
-                     obs::TraceSink* trace = nullptr);
-
   /// Exports the wrapper-level telemetry accumulated by the run: traffic
   /// ledger counters, spec-checker tallies and the degradation ledger into
   /// the registry (all logical), and one lifecycle span per traffic
@@ -174,6 +163,11 @@ class LbSimulation {
                std::unique_ptr<sim::LinkScheduler> scheduler,
                std::unique_ptr<phys::ChannelModel> channel,
                const LbParams& params, std::uint64_t master_seed);
+
+  /// configure()'s thread-cap piece: fan-out mode and round hooks first,
+  /// then the engine cap (which re-polls shard_safe(), whose answer
+  /// depends on the fan-out mode).
+  void apply_round_threads(std::size_t threads);
 
   const graph::DualGraph* graph_;
   LbParams params_;

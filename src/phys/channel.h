@@ -18,13 +18,17 @@
 //     source paper (see docs/PAPER_MAP.md), used to test how well the dual
 //     graph abstracts real interference.
 //
-// Contract: compute_round() fills heard[u] for every vertex u with a packed
-// word -- high 32 bits = the vertex most recently heard from, low 32 bits =
-// the number of decodable senders at u.  The engine interprets count == 1
-// as a delivery from the packed sender, count == 0 as silence and
-// count > 1 as a collision (both surfaced to the process as the null
-// indicator: no collision detection).  `heard` is pre-zeroed by the caller;
-// entries of transmitting vertices are ignored (transmitters hear nothing).
+// Contract: each round the engine first asks fill_frontier() for a
+// conservative superset of the vertices that could hear anything (the
+// frontier; or it uses every vertex), then compute_round() fills heard[u]
+// for every frontier vertex u with a packed word -- high 32 bits = the
+// vertex most recently heard from, low 32 bits = the number of decodable
+// senders at u.  The engine interprets count == 1 as a delivery from the
+// packed sender, count == 0 as silence and count > 1 as a collision (both
+// surfaced to the process as the null indicator: no collision detection).
+// `heard` is pre-zeroed by the caller over the frontier's 64-vertex words;
+// entries outside them are stale and never read, and entries of
+// transmitting vertices are ignored (transmitters hear nothing).
 #pragma once
 
 #include <cstdint>
@@ -63,11 +67,25 @@ class ChannelModel {
   /// deterministic function of (round, transmit set).
   virtual void bind(const graph::DualGraph& g, std::uint64_t master_seed) = 0;
 
-  /// Computes one round of reception: for each vertex u, writes the packed
-  /// (heard-from, decodable-sender count) word into heard[u].  `heard` is
-  /// pre-zeroed and sized to the vertex count.
+  /// Marks in `frontier` every vertex u whose heard[u] could be non-zero
+  /// this round, given the transmit set: a conservative, schedule-
+  /// independent superset (it may include vertices that end up hearing
+  /// nothing, never the reverse).  Bits already set in `frontier` must be
+  /// left set (the engine pre-seeds fault-event vertices).  Called serially
+  /// once per round, before prepare_round()/compute, except in rounds whose
+  /// mask is all-ones.
+  virtual void fill_frontier(const Bitmap& transmitting,
+                             Bitmap& frontier) = 0;
+
+  /// Serial reception: for each vertex u in a non-zero 64-vertex word of
+  /// `frontier`, writes the packed (heard-from, decodable-sender count)
+  /// word into heard[u].  `heard` is sized to the vertex count and
+  /// pre-zeroed over those words; `frontier` is either fill_frontier()'s
+  /// mask for this round's transmit set or all-ones.  Must write nothing
+  /// outside those words.
   virtual void compute_round(sim::Round round, const Bitmap& transmitting,
-                             std::span<std::uint64_t> heard) = 0;
+                             std::span<std::uint64_t> heard,
+                             const Bitmap& frontier) = 0;
 
   /// Installs the E12 adaptive adversary (sim/adaptive.h).  Only meaningful
   /// for channels whose reception is link-scheduler-driven; the default
@@ -107,7 +125,8 @@ class ChannelModel {
   /// whatever prepare_round() staged.  May be called concurrently for
   /// disjoint ranges; must write nothing outside its range and must equal
   /// compute_round() bit-for-bit on the union of the ranges.  `heard` is
-  /// the full vertex-indexed span (pre-zeroed over [begin, end)).
+  /// the full vertex-indexed span (pre-zeroed over [begin, end)).  The
+  /// engine calls it only over runs of non-zero frontier words.
   virtual void compute_shard(sim::Round round, const Bitmap& transmitting,
                              std::span<std::uint64_t> heard,
                              graph::Vertex begin, graph::Vertex end) {
@@ -117,39 +136,6 @@ class ChannelModel {
     (void)begin;
     (void)end;
     DG_EXPECTS(!"this channel model does not implement sharded reception");
-  }
-
-  /// True when the channel can bound, before reception runs, the set of
-  /// vertices that could possibly hear a non-zero verdict this round
-  /// (fill_frontier below).  Channels that cannot -- or whose bound would
-  /// be the whole vertex set -- keep the default and the engine stays on
-  /// the dense path.
-  virtual bool frontier_capable() const { return false; }
-
-  /// Marks in `frontier` every vertex u whose heard[u] could be non-zero
-  /// this round, given the transmit set: a conservative, schedule-
-  /// independent superset (it may include vertices that end up hearing
-  /// nothing, never the reverse).  Bits already set in `frontier` must be
-  /// left set (the engine pre-seeds fault-event vertices).  Called serially
-  /// once per round, before prepare_round()/compute.
-  virtual void fill_frontier(const Bitmap& transmitting, Bitmap& frontier) {
-    (void)transmitting;
-    (void)frontier;
-    DG_EXPECTS(!"this channel model does not implement frontier reception");
-  }
-
-  /// Serial sparse reception: fills heard[u] for frontier vertices only;
-  /// the caller pre-zeroes heard over the frontier's 64-vertex words and
-  /// guarantees fill_frontier() produced `frontier` from this round's
-  /// transmit set.  The default forwards to compute_round(), which is
-  /// correct whenever compute_round's writes are confined to the frontier
-  /// (true of the dual-graph scatter); channels whose compute_round visits
-  /// every receiver must override with a frontier-limited loop.
-  virtual void compute_frontier(sim::Round round, const Bitmap& transmitting,
-                                std::span<std::uint64_t> heard,
-                                const Bitmap& frontier) {
-    (void)frontier;
-    compute_round(round, transmitting, heard);
   }
 
   /// Whether deliveries are confined to edges of the bound dual graph.

@@ -15,9 +15,8 @@ void DualGraphChannel::bind(const graph::DualGraph& g,
   edge_active_.resize(g.unreliable_edge_count());
 }
 
-void DualGraphChannel::compute_round(sim::Round round,
-                                     const Bitmap& transmitting,
-                                     std::span<std::uint64_t> heard) {
+void DualGraphChannel::prepare_round(sim::Round round,
+                                     const Bitmap& transmitting) {
   const graph::DualGraph& g = *graph_;
   // `unreliable_probes` counts the edge-presence tests the reception pass
   // will make; it picks the scheduler consumption strategy below.
@@ -26,7 +25,6 @@ void DualGraphChannel::compute_round(sim::Round round,
     unreliable_probes +=
         g.unreliable_incident(static_cast<graph::Vertex>(v)).size();
   });
-
   // The round's unreliable subset comes from the oblivious scheduler, or --
   // for the E12 counterfactual, outside the paper's model -- from an
   // installed adaptive adversary that sees the transmit decisions first.
@@ -37,7 +35,7 @@ void DualGraphChannel::compute_round(sim::Round round,
   // otherwise probe the scheduler per incident edge, so sparse rounds never
   // pay for edges nobody transmits across.  Both paths are bit-identical by
   // the fill_round() == active() contract.
-  bool use_bitmap = true;
+  use_bitmap_ = true;
   if (adaptive_ != nullptr) {
     transmitting_bools_.assign(g.size(), false);
     transmitting.for_each_set(
@@ -45,14 +43,26 @@ void DualGraphChannel::compute_round(sim::Round round,
     adaptive_->plan_round(round, g, transmitting_bools_);
     adaptive_->fill_round(edge_active_);
   } else if (unreliable_probes == 0) {
-    use_bitmap = false;  // neither path will probe anything
+    // No transmitter has unreliable incidence: neither path probes (the
+    // gather's transmitting-first test short-circuits every edge probe).
+    use_bitmap_ = false;
   } else if (scheduler_->fill_round_is_word_cheap() ||
              unreliable_probes * 2 >= edge_active_.size()) {
     scheduler_->fill_round(round, edge_active_);
   } else {
-    use_bitmap = false;
+    use_bitmap_ = false;
   }
+}
 
+void DualGraphChannel::compute_round(sim::Round round,
+                                     const Bitmap& transmitting,
+                                     std::span<std::uint64_t> heard,
+                                     const Bitmap& frontier) {
+  // The scatter writes only round-topology neighbors of transmitters, all
+  // inside fill_frontier()'s mask, so it needs no frontier gating.
+  (void)frontier;
+  prepare_round(round, transmitting);
+  const graph::DualGraph& g = *graph_;
   // Fused heard-count/heard-from pass: one packed word per vertex (high 32
   // bits last sender, low 32 bits count), scanned over CSR adjacency.
   transmitting.for_each_set([&](std::size_t vi) {
@@ -61,7 +71,7 @@ void DualGraphChannel::compute_round(sim::Round round,
     for (graph::Vertex u : g.g_neighbors(v)) {
       heard[u] = sender_word | ((heard[u] + 1) & 0xffffffffULL);
     }
-    if (use_bitmap) {
+    if (use_bitmap_) {
       for (const auto& [edge, u] : g.unreliable_incident(v)) {
         if (edge_active_.test(edge)) {
           heard[u] = sender_word | ((heard[u] + 1) & 0xffffffffULL);
@@ -75,38 +85,6 @@ void DualGraphChannel::compute_round(sim::Round round,
       }
     }
   });
-}
-
-void DualGraphChannel::prepare_round(sim::Round round,
-                                     const Bitmap& transmitting) {
-  const graph::DualGraph& g = *graph_;
-  // Identical strategy selection to compute_round(): the probe count and
-  // the density cutover must match so the two paths consume the scheduler
-  // the same way round for round.
-  std::size_t unreliable_probes = 0;
-  transmitting.for_each_set([&](std::size_t v) {
-    unreliable_probes +=
-        g.unreliable_incident(static_cast<graph::Vertex>(v)).size();
-  });
-  use_bitmap_ = true;
-  if (adaptive_ != nullptr) {
-    transmitting_bools_.assign(g.size(), false);
-    transmitting.for_each_set(
-        [&](std::size_t v) { transmitting_bools_[v] = true; });
-    adaptive_->plan_round(round, g, transmitting_bools_);
-    adaptive_->fill_round(edge_active_);
-  } else if (unreliable_probes == 0) {
-    // No transmitter has unreliable incidence, so the gather's
-    // transmitting-first test short-circuits every edge probe; the branch
-    // taken below is irrelevant, matching the serial "neither path probes"
-    // case.
-    use_bitmap_ = false;
-  } else if (scheduler_->fill_round_is_word_cheap() ||
-             unreliable_probes * 2 >= edge_active_.size()) {
-    scheduler_->fill_round(round, edge_active_);
-  } else {
-    use_bitmap_ = false;
-  }
 }
 
 void DualGraphChannel::compute_shard(sim::Round round,
@@ -156,7 +134,7 @@ void DualGraphChannel::fill_frontier(const Bitmap& transmitting,
   // *all* unreliable-incident endpoints of every transmitter, regardless of
   // which edges the scheduler (or an adaptive adversary) activates.  Being
   // schedule-independent keeps the scheduler's RNG consumption and the
-  // adaptive plan_round() call order byte-identical to the dense path; the
+  // adaptive plan_round() call order byte-identical to a full mask; the
   // cost is O(sum deg(tx)), the same order as the scatter itself.
   transmitting.for_each_set([&](std::size_t vi) {
     const auto v = static_cast<graph::Vertex>(vi);

@@ -26,8 +26,16 @@ class DualGraphChannel final : public ChannelModel {
       : scheduler_(&scheduler) {}
 
   void bind(const graph::DualGraph& g, std::uint64_t master_seed) override;
+  /// Frontier: every G-neighbor of a transmitter plus every unreliable-
+  /// incident endpoint, whether or not the edge fires -- a schedule-
+  /// independent superset, so the mask never consumes a scheduler draw.
+  void fill_frontier(const Bitmap& transmitting, Bitmap& frontier) override;
+  /// Serial reception: prepare_round()'s strategy block, then a scatter
+  /// from each transmitter over its round-topology edges.  Its writes are
+  /// confined to the frontier by construction, so the mask goes unread.
   void compute_round(sim::Round round, const Bitmap& transmitting,
-                     std::span<std::uint64_t> heard) override;
+                     std::span<std::uint64_t> heard,
+                     const Bitmap& frontier) override;
   void set_adaptive_adversary(sim::AdaptiveAdversary* adversary) override {
     adaptive_ = adversary;
   }
@@ -44,14 +52,6 @@ class DualGraphChannel final : public ChannelModel {
                      std::span<std::uint64_t> heard, graph::Vertex begin,
                      graph::Vertex end) override;
   bool respects_dual_graph() const override { return true; }
-  /// Frontier: every G-neighbor of a transmitter plus every unreliable-
-  /// incident endpoint, whether or not the edge fires -- a schedule-
-  /// independent superset, so the mask never consumes a scheduler draw.
-  /// The serial sparse path keeps the inherited compute_frontier() default
-  /// (forward to compute_round()): the scatter's writes are confined to
-  /// exactly this frontier.
-  bool frontier_capable() const override { return true; }
-  void fill_frontier(const Bitmap& transmitting, Bitmap& frontier) override;
   std::string name() const override;
 
   const sim::LinkScheduler& scheduler() const noexcept { return *scheduler_; }
@@ -64,8 +64,8 @@ class DualGraphChannel final : public ChannelModel {
   // Scratch reused every round, sized at bind().
   sim::EdgeBitmap edge_active_;           ///< this round's unreliable subset
   std::vector<bool> transmitting_bools_;  ///< adaptive plan_round view
-  /// Strategy picked by prepare_round() for the round's compute_shard()
-  /// calls: probe edge_active_ (true) or scheduler_->active() (false).
+  /// Strategy picked by prepare_round() for the round's reception pass:
+  /// probe edge_active_ (true) or scheduler_->active() (false).
   bool use_bitmap_ = false;
 };
 

@@ -107,13 +107,14 @@ void SinrChannel::fill_frontier(const Bitmap& transmitting, Bitmap& frontier) {
   frontier_touched_.clear();
 }
 
-void SinrChannel::compute_frontier(sim::Round round, const Bitmap& transmitting,
-                                   std::span<std::uint64_t> heard,
-                                   const Bitmap& frontier) {
-  // Same staging as the sharded path, then the verdict loop over maximal
-  // runs of non-empty frontier words only.  Visiting a non-frontier vertex
-  // inside a frontier word is harmless (its verdict is clears == 0, no
-  // write); skipping empty words is where the sparsity pays.
+void SinrChannel::compute_round(sim::Round round, const Bitmap& transmitting,
+                                std::span<std::uint64_t> heard,
+                                const Bitmap& frontier) {
+  // Same staging as the sharded path, then the verdict loop -- which lives
+  // in compute_shard() alone, so the two paths cannot drift apart -- over
+  // maximal runs of non-empty frontier words only.  Visiting a non-frontier
+  // vertex inside a frontier word is harmless (its verdict is clears == 0,
+  // no write); skipping empty words is where the sparsity pays.
   prepare_round(round, transmitting);
   const auto words = frontier.words();
   const auto n = static_cast<graph::Vertex>(positions_.size());
@@ -130,16 +131,6 @@ void SinrChannel::compute_frontier(sim::Round round, const Bitmap& transmitting,
     compute_shard(round, transmitting, heard, begin, end);
     w = w_end;
   }
-}
-
-void SinrChannel::compute_round(sim::Round round, const Bitmap& transmitting,
-                                std::span<std::uint64_t> heard) {
-  // The serial pass is the sharded pass over the full receiver range; the
-  // verdict loop lives in compute_shard() alone so the two paths cannot
-  // drift apart.
-  prepare_round(round, transmitting);
-  compute_shard(round, transmitting, heard, 0,
-                static_cast<graph::Vertex>(positions_.size()));
 }
 
 void SinrChannel::prepare_round(sim::Round round, const Bitmap& transmitting) {

@@ -83,8 +83,6 @@ class SinrChannel final : public ChannelModel {
   SinrChannel(const SinrParams& params, geo::Embedding embedding);
 
   void bind(const graph::DualGraph& g, std::uint64_t master_seed) override;
-  void compute_round(sim::Round round, const Bitmap& transmitting,
-                     std::span<std::uint64_t> heard) override;
   /// Sharded path: prepare_round() buckets the round's transmitters and
   /// computes the per-cell far field (both functions of the transmit set
   /// alone); compute_shard() runs the per-receiver verdict loop over its
@@ -104,13 +102,12 @@ class SinrChannel final : public ChannelModel {
   /// symmetric in min_cell_distance, so every possible hearer lives in a
   /// near cell of some transmitter cell.  fill_frontier() unions those
   /// cells' members (deduped with O(activity) touched-flag scratch);
-  /// compute_frontier() runs prepare_round() plus the verdict loop over
-  /// frontier words only.
-  bool frontier_capable() const override { return true; }
+  /// compute_round() runs prepare_round() plus the verdict loop over
+  /// maximal runs of frontier words.
   void fill_frontier(const Bitmap& transmitting, Bitmap& frontier) override;
-  void compute_frontier(sim::Round round, const Bitmap& transmitting,
-                        std::span<std::uint64_t> heard,
-                        const Bitmap& frontier) override;
+  void compute_round(sim::Round round, const Bitmap& transmitting,
+                     std::span<std::uint64_t> heard,
+                     const Bitmap& frontier) override;
   std::string name() const override;
 
   const SinrParams& params() const noexcept { return params_; }

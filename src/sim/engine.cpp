@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <charconv>
 #include <chrono>
 #include <cstdlib>
 #include <limits>
@@ -88,20 +89,11 @@ struct EngineStages {
     bool vertex_disjoint_writes() const override { return true; }
     void prologue(RoundState&) override { e_.transmitting_.clear(); }
     void run(RoundState& rs) override {
-      if (rs.sparse) {
-        decide_sparse(rs, 0, static_cast<graph::Vertex>(rs.vertex_count),
-                      !e_.obs_transmit_.empty());
-        return;
-      }
       decide(rs, 0, static_cast<graph::Vertex>(rs.vertex_count),
              !e_.obs_transmit_.empty());
     }
     void run_block(RoundState& rs, graph::Vertex begin,
                    graph::Vertex end) override {
-      if (rs.sparse) {
-        decide_sparse(rs, begin, end, /*inline_obs=*/false);
-        return;
-      }
       decide(rs, begin, end, /*inline_obs=*/false);
     }
     void replay(RoundState& rs) override {
@@ -118,32 +110,12 @@ struct EngineStages {
     }
 
    private:
+    /// Whole 64-vertex words of parked vertices are skipped via
+    /// word_silent_until_; a vertex whose promise just expired gets one
+    /// batched silent_steps() catch-up before its step.  Crashed vertices
+    /// are parked forever, so no explicit crashed_ test.
     void decide(RoundState& rs, graph::Vertex begin, graph::Vertex end,
                 bool inline_obs) {
-      const Round t = rs.round;
-      for (graph::Vertex v = begin; v < end; ++v) {
-        if (rs.faults && e_.crashed_.test(v)) continue;
-        RoundContext ctx(t, e_.rngs_[v]);
-        auto packet = e_.processes_[v]->transmit(ctx);
-        if (!packet.has_value()) continue;
-        // The wire carries the true sender id; processes cannot spoof.
-        DG_ASSERT(packet->sender == e_.processes_[v]->id());
-        e_.outgoing_slab_[v] = *std::move(packet);
-        e_.transmitting_.set(v);
-        if (inline_obs) {
-          for (Observer* obs : e_.obs_transmit_) {
-            obs->on_transmit(t, v, e_.outgoing_slab_[v]);
-          }
-        }
-      }
-    }
-
-    /// Sparse dispatch: whole 64-vertex words of parked vertices are
-    /// skipped via word_silent_until_; a vertex whose promise just expired
-    /// gets one batched silent_steps() catch-up before its dense step.
-    /// Crashed vertices are parked forever, so no explicit crashed_ test.
-    void decide_sparse(RoundState& rs, graph::Vertex begin, graph::Vertex end,
-                       bool inline_obs) {
       const Round t = rs.round;
       const std::size_t wb = begin / 64;
       const std::size_t we = (static_cast<std::size_t>(end) + 63) / 64;
@@ -161,6 +133,7 @@ struct EngineStages {
           RoundContext ctx(t, e_.rngs_[v]);
           auto packet = e_.processes_[v]->transmit(ctx);
           if (!packet.has_value()) continue;
+          // The wire carries the true sender id; processes cannot spoof.
           DG_ASSERT(packet->sender == e_.processes_[v]->id());
           e_.outgoing_slab_[v] = *std::move(packet);
           e_.transmitting_.set(v);
@@ -177,10 +150,10 @@ struct EngineStages {
   };
 
   /// "frontier": serial computation of the round's activity mask
-  /// (Slab::kActivityMask) -- fault-event vertices plus the channel's
-  /// conservative hearer superset of the transmit set -- and the word /
-  /// shard-block indices derived from it.  Only active in sparse rounds;
-  /// the dense dispatch never pays the bracket.
+  /// (Slab::kActivityMask) and the word / shard-block indices derived from
+  /// it.  The mask is fault-event vertices plus the channel's conservative
+  /// hearer superset of the transmit set -- or every vertex, when the round
+  /// needs a full mask (the oracle mode, or a splice reading heard_words).
   class FrontierStage final : public RoundStage {
    public:
     explicit FrontierStage(Engine& e) : e_(e) {}
@@ -191,21 +164,24 @@ struct EngineStages {
     SlabSet writes() const override {
       return slab_bit(Slab::kActivityMask);
     }
-    bool active(bool) const override { return e_.sparse_active_; }
     void run(RoundState& rs) override {
-      // Clear exactly last round's frontier words (the rest are already
-      // zero), then refill for this round.
       auto fwords = e_.frontier_.words();
-      for (std::size_t w : e_.active_words_) fwords[w] = 0;
-      e_.active_words_.clear();
-      if (rs.faults) {
-        // Fault-event vertices join the frontier so a just-recovered
-        // vertex reads a freshly-zeroed heard word, never a stale one.
-        for (const fault::FaultEvent& ev : e_.fault_events_) {
-          e_.frontier_.set(ev.vertex);
+      if (!e_.sparse_enabled_ || e_.splice_reads_heard_) {
+        e_.frontier_.set_all();
+      } else {
+        // Clear exactly last round's frontier words (the rest are already
+        // zero), then refill for this round.
+        for (std::size_t w : e_.active_words_) fwords[w] = 0;
+        if (rs.faults) {
+          // Fault-event vertices join the frontier so a just-recovered
+          // vertex reads a freshly-zeroed heard word, never a stale one.
+          for (const fault::FaultEvent& ev : e_.fault_events_) {
+            e_.frontier_.set(ev.vertex);
+          }
         }
+        e_.channel_->fill_frontier(e_.transmitting_, e_.frontier_);
       }
-      e_.channel_->fill_frontier(e_.transmitting_, e_.frontier_);
+      e_.active_words_.clear();
 
       const std::size_t blocks =
           rs.sharded ? (rs.vertex_count + rs.block_size - 1) / rs.block_size
@@ -250,11 +226,13 @@ struct EngineStages {
     Engine& e_;
   };
 
-  /// "compute": reception physics, delegated to the channel model.  Fills
-  /// one packed heard word per vertex; the logical-metrics pass over the
-  /// frozen verdicts runs in after_phase (outside the timing bracket, and
-  /// before any spliced stage anchored behind this one -- counters tally
-  /// channel verdicts, not post-splice deliveries).
+  /// "compute": reception physics, delegated to the channel model.  Zeroes
+  /// and fills the packed heard words of frontier words only -- entries
+  /// outside them are stale by contract and never read (every reader is
+  /// frontier-gated).  The logical-metrics pass over the frozen verdicts
+  /// runs in after_phase (outside the timing bracket, and before any
+  /// spliced stage anchored behind this one -- counters tally channel
+  /// verdicts, not post-splice deliveries).
   class ChannelStage final : public RoundStage {
    public:
     explicit ChannelStage(Engine& e) : e_(e) {}
@@ -267,55 +245,41 @@ struct EngineStages {
     }
     bool vertex_disjoint_writes() const override { return true; }
     void run(RoundState& rs) override {
-      if (rs.sparse) {
-        // Dirty-word zeroing: only this round's frontier words are cleared
-        // and filled; entries outside them are stale by contract and never
-        // read (every reader is frontier-gated while sparse is active).
-        const std::size_t n = e_.heard_.size();
-        for (std::size_t w : e_.active_words_) {
-          const std::size_t lo = w * 64;
-          std::fill(e_.heard_.begin() + static_cast<std::ptrdiff_t>(lo),
-                    e_.heard_.begin() +
-                        static_cast<std::ptrdiff_t>(std::min(lo + 64, n)),
-                    0U);
-        }
-        e_.channel_->compute_frontier(rs.round, e_.transmitting_, e_.heard_,
-                                      e_.frontier_);
-        return;
+      const std::size_t n = e_.heard_.size();
+      for (std::size_t w : e_.active_words_) {
+        const std::size_t lo = w * 64;
+        std::fill(e_.heard_.begin() + static_cast<std::ptrdiff_t>(lo),
+                  e_.heard_.begin() +
+                      static_cast<std::ptrdiff_t>(std::min(lo + 64, n)),
+                  0U);
       }
-      std::fill(e_.heard_.begin(), e_.heard_.end(), 0U);
-      e_.channel_->compute_round(rs.round, e_.transmitting_, e_.heard_);
+      e_.channel_->compute_round(rs.round, e_.transmitting_, e_.heard_,
+                                 e_.frontier_);
     }
     void run_block(RoundState& rs, graph::Vertex begin,
                    graph::Vertex end) override {
-      if (rs.sparse) {
-        // O(1) idle-block early-out, then zero + compute over maximal runs
-        // of frontier words inside the block (blocks own whole words).
-        if (e_.block_active_[begin / rs.block_size] == 0) return;
-        const auto fwords = e_.frontier_.words();
-        const std::size_t wb = begin / 64;
-        const std::size_t we = (static_cast<std::size_t>(end) + 63) / 64;
-        std::size_t w = wb;
-        while (w < we) {
-          if (fwords[w] == 0) {
-            ++w;
-            continue;
-          }
-          std::size_t run_end = w + 1;
-          while (run_end < we && fwords[run_end] != 0) ++run_end;
-          const auto lo = static_cast<graph::Vertex>(w * 64);
-          const auto hi = std::min(
-              static_cast<graph::Vertex>(run_end * 64), end);
-          std::fill(e_.heard_.begin() + lo, e_.heard_.begin() + hi, 0U);
-          e_.channel_->compute_shard(rs.round, e_.transmitting_, e_.heard_,
-                                     lo, hi);
-          w = run_end;
+      // O(1) idle-block early-out, then zero + compute over maximal runs
+      // of frontier words inside the block (blocks own whole words).
+      if (e_.block_active_[begin / rs.block_size] == 0) return;
+      const auto fwords = e_.frontier_.words();
+      const std::size_t wb = begin / 64;
+      const std::size_t we = (static_cast<std::size_t>(end) + 63) / 64;
+      std::size_t w = wb;
+      while (w < we) {
+        if (fwords[w] == 0) {
+          ++w;
+          continue;
         }
-        return;
+        std::size_t run_end = w + 1;
+        while (run_end < we && fwords[run_end] != 0) ++run_end;
+        const auto lo = static_cast<graph::Vertex>(w * 64);
+        const auto hi = std::min(
+            static_cast<graph::Vertex>(run_end * 64), end);
+        std::fill(e_.heard_.begin() + lo, e_.heard_.begin() + hi, 0U);
+        e_.channel_->compute_shard(rs.round, e_.transmitting_, e_.heard_,
+                                   lo, hi);
+        w = run_end;
       }
-      std::fill(e_.heard_.begin() + begin, e_.heard_.begin() + end, 0U);
-      e_.channel_->compute_shard(rs.round, e_.transmitting_, e_.heard_,
-                                 begin, end);
     }
     void after_phase(RoundState&) override { e_.record_logical_round(); }
 
@@ -340,37 +304,18 @@ struct EngineStages {
     }
     bool vertex_disjoint_writes() const override { return true; }
     void run(RoundState& rs) override {
-      if (rs.sparse) {
-        // With silence observers attached the dense event stream mentions
-        // every listening vertex, so a full mask-aware pass (heard read
-        // through the frontier filter) reproduces it exactly; without
-        // them, only frontier and promise-expired words are visited.
-        if (!e_.obs_silence_.empty()) {
-          deliver_sparse_full(rs, 0,
-                              static_cast<graph::Vertex>(rs.vertex_count));
-        } else {
-          deliver_sparse(rs, 0, static_cast<graph::Vertex>(rs.vertex_count),
-                         /*obs_rx=*/!e_.obs_receive_.empty());
-        }
-        return;
-      }
       deliver(rs, 0, static_cast<graph::Vertex>(rs.vertex_count),
               /*inline_obs=*/true);
     }
     void run_block(RoundState& rs, graph::Vertex begin,
                    graph::Vertex end) override {
-      if (rs.sparse) {
-        deliver_sparse(rs, begin, end, /*obs_rx=*/false);
-        return;
-      }
       deliver(rs, begin, end, /*inline_obs=*/false);
     }
     void replay(RoundState& rs) override {
       // Replays the reception observers serially from the frozen heard
       // words: same verdicts, ascending vertex order, exactly the serial
-      // dispatch's stream.  In sparse rounds heard_ is read through the
-      // frontier filter -- entries outside frontier words are stale and
-      // stand for the 0 the dense path would have computed.
+      // dispatch's stream.  heard_ is read through the frontier filter --
+      // entries outside frontier words are stale and stand for silence.
       if (e_.obs_receive_.empty() && e_.obs_silence_.empty()) return;
       const Round t = rs.round;
       const auto n = static_cast<graph::Vertex>(rs.vertex_count);
@@ -378,8 +323,7 @@ struct EngineStages {
       for (graph::Vertex u = 0; u < n; ++u) {
         if (e_.transmitting_.test(u)) continue;
         if (rs.faults && e_.crashed_.test(u)) continue;
-        const std::uint64_t h =
-            (!rs.sparse || fwords[u >> 6] != 0) ? e_.heard_[u] : 0;
+        const std::uint64_t h = fwords[u >> 6] != 0 ? e_.heard_[u] : 0;
         const auto count = static_cast<std::uint32_t>(h);
         if (count == 1 && !masked(u)) {
           const auto from = static_cast<graph::Vertex>(h >> 32);
@@ -402,41 +346,10 @@ struct EngineStages {
       return e_.deliver_masked_ && e_.delivery_mask_.test(u);
     }
 
-    void deliver(RoundState& rs, graph::Vertex begin, graph::Vertex end,
-                 bool inline_obs) {
-      const Round t = rs.round;
-      const bool obs_rx = inline_obs && !e_.obs_receive_.empty();
-      const bool obs_sil = inline_obs && !e_.obs_silence_.empty();
-      for (graph::Vertex u = begin; u < end; ++u) {
-        if (e_.transmitting_.test(u)) continue;  // transmitters don't listen
-        if (rs.faults && e_.crashed_.test(u)) continue;
-        RoundContext ctx(t, e_.rngs_[u]);
-        const std::uint64_t h = e_.heard_[u];
-        const auto count = static_cast<std::uint32_t>(h);
-        if (count == 1 && !masked(u)) {
-          const auto from = static_cast<graph::Vertex>(h >> 32);
-          const Packet& packet = e_.outgoing_slab_[from];
-          if (obs_rx) {
-            for (Observer* obs : e_.obs_receive_) {
-              obs->on_receive(t, u, from, packet);
-            }
-          }
-          e_.processes_[u]->receive(packet, ctx);
-        } else {
-          if (obs_sil) {
-            for (Observer* obs : e_.obs_silence_) {
-              obs->on_silence(t, u, /*collision=*/count > 1);
-            }
-          }
-          e_.processes_[u]->receive(std::nullopt, ctx);
-        }
-      }
-    }
-
-    /// Wakes a parked vertex on a count==1 delivery: batched cursor
-    /// catch-up through round t-1, then the round-t transmit() call the
-    /// dense path would have made (the silent promise covers round t, so
-    /// it must return nullopt and draw no randomness), then unpark.
+    /// Wakes a parked vertex on a delivery: batched cursor catch-up
+    /// through round t-1, then the round-t transmit() call an unparked
+    /// vertex would have made (the silent promise covers round t, so it
+    /// must return nullopt and draw no randomness), then unpark.
     void wake(graph::Vertex u, Round t) {
       if (e_.last_stepped_[u] < t - 1) {
         e_.processes_[u]->silent_steps(t - 1 - e_.last_stepped_[u]);
@@ -452,38 +365,31 @@ struct EngineStages {
       if (e_.word_silent_until_[w] > t - 1) e_.word_silent_until_[w] = t - 1;
     }
 
-    /// Sparse dispatch without silence observers: frontier words get the
-    /// verdict loop (waking parked vertices on deliveries); non-frontier
-    /// words are visited only while some vertex's promise has expired, and
-    /// then only live vertices get the forced null reception -- without
-    /// reading their (stale) heard words.
-    void deliver_sparse(RoundState& rs, graph::Vertex begin, graph::Vertex end,
-                        bool obs_rx) {
+    /// Frontier words get the verdict loop (waking parked vertices on
+    /// deliveries).  Every listener in a non-frontier word heard nothing:
+    /// its (stale) heard word is never read, live vertices get the null
+    /// reception, and the word is skipped outright while all its vertices
+    /// are parked -- unless silence observers need its events, which are
+    /// emitted in ascending vertex order either way.
+    void deliver(RoundState& rs, graph::Vertex begin, graph::Vertex end,
+                 bool inline_obs) {
       const Round t = rs.round;
+      const bool obs_rx = inline_obs && !e_.obs_receive_.empty();
+      const bool obs_sil = inline_obs && !e_.obs_silence_.empty();
       const auto fwords = e_.frontier_.words();
       const std::size_t wb = begin / 64;
       const std::size_t we = (static_cast<std::size_t>(end) + 63) / 64;
       for (std::size_t w = wb; w < we; ++w) {
+        const bool frontier = fwords[w] != 0;
+        if (!frontier && !obs_sil && e_.word_silent_until_[w] >= t) continue;
         const auto lo = static_cast<graph::Vertex>(w * 64);
         const auto hi = std::min(static_cast<graph::Vertex>(lo + 64), end);
-        if (fwords[w] == 0) {
-          if (e_.word_silent_until_[w] >= t) continue;
-          for (graph::Vertex u = lo; u < hi; ++u) {
-            if (e_.transmitting_.test(u)) continue;
-            if (e_.silent_until_[u] >= t) continue;  // parked (or crashed)
-            RoundContext ctx(t, e_.rngs_[u]);
-            e_.processes_[u]->receive(std::nullopt, ctx);
-          }
-          continue;
-        }
-        // Frontier word: every heard entry in it was zeroed and filled
-        // this round, so verdicts are read directly.
         for (graph::Vertex u = lo; u < hi; ++u) {
-          if (e_.transmitting_.test(u)) continue;
+          if (e_.transmitting_.test(u)) continue;  // transmitters don't listen
           if (rs.faults && e_.crashed_.test(u)) continue;
-          const std::uint64_t h = e_.heard_[u];
+          const std::uint64_t h = frontier ? e_.heard_[u] : 0;
           const auto count = static_cast<std::uint32_t>(h);
-          if (count == 1) {
+          if (count == 1 && !masked(u)) {
             if (e_.silent_until_[u] >= t) wake(u, t);
             const auto from = static_cast<graph::Vertex>(h >> 32);
             const Packet& packet = e_.outgoing_slab_[from];
@@ -495,45 +401,15 @@ struct EngineStages {
             RoundContext ctx(t, e_.rngs_[u]);
             e_.processes_[u]->receive(packet, ctx);
           } else {
+            if (obs_sil) {
+              for (Observer* obs : e_.obs_silence_) {
+                obs->on_silence(t, u, /*collision=*/count > 1);
+              }
+            }
             if (e_.silent_until_[u] >= t) continue;  // promised no-op
             RoundContext ctx(t, e_.rngs_[u]);
             e_.processes_[u]->receive(std::nullopt, ctx);
           }
-        }
-      }
-    }
-
-    /// Sparse dispatch with silence observers (serial rounds only): one
-    /// full ascending pass so the observer stream is the dense stream
-    /// event for event; process calls still honor the parked promises.
-    void deliver_sparse_full(RoundState& rs, graph::Vertex begin,
-                             graph::Vertex end) {
-      const Round t = rs.round;
-      const bool obs_rx = !e_.obs_receive_.empty();
-      const auto fwords = e_.frontier_.words();
-      for (graph::Vertex u = begin; u < end; ++u) {
-        if (e_.transmitting_.test(u)) continue;
-        if (rs.faults && e_.crashed_.test(u)) continue;
-        const std::uint64_t h = fwords[u >> 6] != 0 ? e_.heard_[u] : 0;
-        const auto count = static_cast<std::uint32_t>(h);
-        if (count == 1) {
-          if (e_.silent_until_[u] >= t) wake(u, t);
-          const auto from = static_cast<graph::Vertex>(h >> 32);
-          const Packet& packet = e_.outgoing_slab_[from];
-          if (obs_rx) {
-            for (Observer* obs : e_.obs_receive_) {
-              obs->on_receive(t, u, from, packet);
-            }
-          }
-          RoundContext ctx(t, e_.rngs_[u]);
-          e_.processes_[u]->receive(packet, ctx);
-        } else {
-          for (Observer* obs : e_.obs_silence_) {
-            obs->on_silence(t, u, /*collision=*/count > 1);
-          }
-          if (e_.silent_until_[u] >= t) continue;  // promised no-op
-          RoundContext ctx(t, e_.rngs_[u]);
-          e_.processes_[u]->receive(std::nullopt, ctx);
         }
       }
     }
@@ -555,18 +431,10 @@ struct EngineStages {
     }
     bool vertex_disjoint_writes() const override { return true; }
     void run(RoundState& rs) override {
-      if (rs.sparse) {
-        flush_sparse(rs, 0, static_cast<graph::Vertex>(rs.vertex_count));
-        return;
-      }
       flush(rs, 0, static_cast<graph::Vertex>(rs.vertex_count));
     }
     void run_block(RoundState& rs, graph::Vertex begin,
                    graph::Vertex end) override {
-      if (rs.sparse) {
-        flush_sparse(rs, begin, end);
-        return;
-      }
       flush(rs, begin, end);
     }
     void epilogue(RoundState& rs) override {
@@ -574,22 +442,14 @@ struct EngineStages {
     }
 
    private:
+    /// Parked vertices promised a no-op end_round, so whole parked words
+    /// are skipped; unless parking is off (the oracle mode), every stepped
+    /// vertex is asked for a fresh silent promise (silent_steps(0)), and
+    /// the word minimum is recomputed so fully-parked words vanish from
+    /// next round's passes.
     void flush(RoundState& rs, graph::Vertex begin, graph::Vertex end) {
       const Round t = rs.round;
-      for (graph::Vertex v = begin; v < end; ++v) {
-        if (rs.faults && e_.crashed_.test(v)) continue;
-        RoundContext ctx(t, e_.rngs_[v]);
-        e_.processes_[v]->end_round(ctx);
-      }
-    }
-
-    /// Sparse dispatch: parked vertices promised a no-op end_round, so
-    /// whole parked words are skipped; every stepped vertex is asked for a
-    /// fresh silent promise (silent_steps(0)), and the word minimum is
-    /// recomputed so fully-parked words vanish from next round's passes.
-    void flush_sparse(RoundState& rs, graph::Vertex begin,
-                      graph::Vertex end) {
-      const Round t = rs.round;
+      const bool park = e_.sparse_enabled_;
       const std::size_t wb = begin / 64;
       const std::size_t we = (static_cast<std::size_t>(end) + 63) / 64;
       for (std::size_t w = wb; w < we; ++w) {
@@ -605,7 +465,7 @@ struct EngineStages {
           }
           RoundContext ctx(t, e_.rngs_[v]);
           e_.processes_[v]->end_round(ctx);
-          const std::int64_t j = e_.processes_[v]->silent_steps(0);
+          const std::int64_t j = park ? e_.processes_[v]->silent_steps(0) : 0;
           const Round until = j > 0 ? promise_until(t, j) : t;
           e_.silent_until_[v] = until;
           word_min = std::min(word_min, until);
@@ -679,6 +539,12 @@ void Engine::init(std::uint64_t master_seed) {
   round_threads_ = default_round_threads();
   sparse_enabled_ = default_sparse_rounds();
 
+  // Frontier bookkeeping: everyone stepped through round 0, nobody parked.
+  frontier_.resize(processes_.size());
+  last_stepped_.assign(processes_.size(), 0);
+  silent_until_.assign(processes_.size(), 0);
+  word_silent_until_.assign(frontier_.word_count(), 0);
+
   // The core pipeline.  The on_round_begin fan-out rides on the transmit
   // slot so fault events keep preceding it, as the monolithic loop did.
   stages_ = std::make_unique<EngineStages>(*this);
@@ -689,7 +555,6 @@ void Engine::init(std::uint64_t master_seed) {
   pipeline_.append(&stages_->channel);
   pipeline_.append(&stages_->receive);
   pipeline_.append(&stages_->output);
-  update_sparse_support();
 }
 
 std::size_t Engine::default_round_threads() {
@@ -699,10 +564,16 @@ std::size_t Engine::default_round_threads() {
     const unsigned hw = std::thread::hardware_concurrency();
     return hw == 0 ? 1 : hw;
   }
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(env, &end, 10);
-  if (end == env || *end != '\0' || parsed == 0) return 1;
-  return static_cast<std::size_t>(parsed);
+  // Digits only: strtoull would accept a sign or leading whitespace and
+  // turn "-1" into 2^64-1 threads.
+  const std::string_view text(env);
+  std::size_t parsed = 0;
+  const auto [ptr, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), parsed);
+  if (ec != std::errc() || ptr != text.data() + text.size() || parsed == 0) {
+    return 1;
+  }
+  return parsed;
 }
 
 bool Engine::default_sparse_rounds() {
@@ -712,59 +583,11 @@ bool Engine::default_sparse_rounds() {
   return !(v == "0" || v == "off" || v == "false");
 }
 
-void Engine::set_sparse_rounds(bool on) {
-  configure(EngineConfig{}.with_sparse_rounds(on));
-}
-
 void Engine::apply_sparse_rounds(bool on) {
-  if (on == sparse_enabled_) return;
-  if (!on) flush_parked();  // dense dispatch steps everyone from now on
+  // The oracle switch is a whole-execution choice: no parked process ever
+  // needs catching up, and the frontier bookkeeping is valid in both modes.
+  DG_EXPECTS(round_ == 0);
   sparse_enabled_ = on;
-  update_sparse_support();
-  // Dense rounds may have run since the bookkeeping was last valid.
-  if (sparse_supported_) reset_sparse_state();
-}
-
-void Engine::update_sparse_support() {
-  sparse_supported_ = sparse_enabled_ && channel_->frontier_capable() &&
-                      splices_.empty();
-  if (sparse_supported_ && frontier_.size() != processes_.size()) {
-    frontier_.resize(processes_.size());
-    reset_sparse_state();
-  }
-}
-
-void Engine::reset_sparse_state() {
-  const std::size_t n = processes_.size();
-  last_stepped_.assign(n, round_);
-  silent_until_.assign(n, round_);
-  const bool faults = fault_plan_ != nullptr;
-  if (faults) {
-    crashed_.for_each_set(
-        [&](std::size_t v) { silent_until_[v] = kParkedForever; });
-  }
-  word_silent_until_.assign(frontier_.word_count(), round_);
-  frontier_.clear();
-  active_words_.clear();
-}
-
-void Engine::flush_parked() {
-  // Only meaningful while the bookkeeping is current (sparse rounds were
-  // eligible to run); after dense-only stretches the vectors are stale and
-  // reset_sparse_state() re-syncs them if sparse ever re-engages.
-  if (!sparse_supported_ || last_stepped_.empty()) return;
-  const bool faults = fault_plan_ != nullptr;
-  const auto n = static_cast<graph::Vertex>(processes_.size());
-  for (graph::Vertex v = 0; v < n; ++v) {
-    if (faults && crashed_.test(v)) continue;  // cursor rewritten on recover
-    if (last_stepped_[v] >= round_) continue;
-    // Every round in (last_stepped_, round_] sat inside v's silent promise
-    // and delivered nothing, so one batched jump lands exactly where dense
-    // stepping would have.
-    processes_[v]->silent_steps(round_ - last_stepped_[v]);
-    last_stepped_[v] = round_;
-  }
-  reset_sparse_state();
 }
 
 void Engine::configure(const EngineConfig& config) {
@@ -787,21 +610,20 @@ std::string Engine::splice_stage(const SpliceSpec& spec) {
   all.push_back(spec);
   std::string err = validate_splice_specs(all);
   if (!err.empty()) return err;
-  pipeline_.insert_after(splice_anchor(spec),
-                         build_splice_stage(spec, processes_.size()));
+  std::unique_ptr<RoundStage> stage =
+      build_splice_stage(spec, processes_.size());
+  // A stage declaring a heard_words read sees every vertex's entry, and
+  // entries outside the frontier are stale, so from now on every round
+  // fills the whole mask.  Parked processes stay parked: the receive body
+  // wakes them on a delivery, whatever the mask.
+  if (slab_set_contains(stage->reads(), Slab::kHeardWords)) {
+    splice_reads_heard_ = true;
+  }
+  pipeline_.insert_after(splice_anchor(spec), std::move(stage));
   splices_ = std::move(all);
-  // Spliced stages read heard_ over every vertex, so the sparse dispatch
-  // must stand down: catch parked processes up first, while the promises
-  // still cover the skipped rounds.
-  flush_parked();
-  update_sparse_support();
   // Telemetry installed first: give the new stage its timing slot.
   if (registry_ != nullptr) rebuild_profiler();
   return "";
-}
-
-void Engine::set_round_threads(std::size_t threads) {
-  configure(EngineConfig{}.with_round_threads(threads));
 }
 
 void Engine::apply_round_threads(std::size_t threads) {
@@ -830,10 +652,6 @@ void Engine::add_observer(Observer* observer) {
   if (mask & Observer::kSilence) obs_silence_.push_back(observer);
   if (mask & Observer::kRoundEnd) obs_round_end_.push_back(observer);
   if (mask & Observer::kFault) obs_fault_.push_back(observer);
-}
-
-void Engine::set_telemetry(obs::Registry* registry, obs::TraceSink* sink) {
-  configure(EngineConfig{}.with_telemetry(registry, sink));
 }
 
 void Engine::apply_telemetry(obs::Registry* registry, obs::TraceSink* sink) {
@@ -868,9 +686,9 @@ void Engine::apply_telemetry(obs::Registry* registry, obs::TraceSink* sink) {
       &registry->counter("engine.dispatch.serial", Domain::kTiming);
   m_dispatch_sharded_ =
       &registry->counter("engine.dispatch.sharded", Domain::kTiming);
-  // Sparse-dispatch instrumentation also lives in the timing domain: it
-  // advances only when the sparse path runs, and logical dumps must stay
-  // byte-identical across sparse-on/off.
+  // Frontier instrumentation also lives in the timing domain: it measures
+  // a dispatch decision, and logical dumps must stay byte-identical
+  // between the computed frontier and the oracle mode.
   m_active_blocks_ =
       &registry->counter("engine.active_blocks", Domain::kTiming);
   m_frontier_fraction_ =
@@ -905,44 +723,27 @@ void Engine::record_logical_round() {
   const std::uint64_t tx = transmitting_.count();
   *m_tx_ += tx;
   m_tx_per_round_->record(static_cast<double>(tx));
+  // Mask-aware tally: frontier words read their (fresh) heard entries;
+  // every live non-transmitter in a non-frontier word heard nothing by
+  // construction, so whole words tally as silence via popcounts without
+  // touching stale heard_.
   const bool faults = fault_plan_ != nullptr;
-  const auto n = static_cast<graph::Vertex>(processes_.size());
   std::uint64_t delivered = 0, collisions = 0, silent = 0;
-  if (sparse_active_) {
-    // Mask-aware tally, byte-identical to the dense pass below: frontier
-    // words read their (fresh) heard entries; every live non-transmitter
-    // in a non-frontier word heard nothing by construction, so whole
-    // words tally as silence via popcounts without touching stale heard_.
-    const auto fwords = frontier_.words();
-    const auto twords = transmitting_.words();
-    const auto cwords = crashed_.words();
-    for (std::size_t w = 0; w < fwords.size(); ++w) {
-      std::uint64_t live = transmitting_.word_mask(w) & ~twords[w];
-      if (faults) live &= ~cwords[w];
-      if (fwords[w] == 0) {
-        silent += static_cast<std::uint64_t>(std::popcount(live));
-        continue;
-      }
-      while (live != 0) {
-        const int b = std::countr_zero(live);
-        live &= live - 1;
-        const auto count =
-            static_cast<std::uint32_t>(heard_[w * 64 +
-                                              static_cast<std::size_t>(b)]);
-        if (count == 1) {
-          ++delivered;
-        } else if (count > 1) {
-          ++collisions;
-        } else {
-          ++silent;
-        }
-      }
+  const auto fwords = frontier_.words();
+  const auto twords = transmitting_.words();
+  const auto cwords = crashed_.words();
+  for (std::size_t w = 0; w < fwords.size(); ++w) {
+    std::uint64_t live = transmitting_.word_mask(w) & ~twords[w];
+    if (faults) live &= ~cwords[w];
+    if (fwords[w] == 0) {
+      silent += static_cast<std::uint64_t>(std::popcount(live));
+      continue;
     }
-  } else {
-    for (graph::Vertex u = 0; u < n; ++u) {
-      if (transmitting_.test(u)) continue;
-      if (faults && crashed_.test(u)) continue;
-      const auto count = static_cast<std::uint32_t>(heard_[u]);
+    while (live != 0) {
+      const int b = std::countr_zero(live);
+      live &= live - 1;
+      const auto count = static_cast<std::uint32_t>(
+          heard_[w * 64 + static_cast<std::size_t>(b)]);
       if (count == 1) {
         ++delivered;
       } else if (count > 1) {
@@ -972,11 +773,6 @@ Rng& Engine::process_rng(graph::Vertex v) {
   return rngs_[v];
 }
 
-void Engine::set_fault_plan(fault::FaultPlan* plan,
-                            fault::FaultListener* listener) {
-  configure(EngineConfig{}.with_fault_plan(plan, listener));
-}
-
 void Engine::apply_fault_plan(fault::FaultPlan* plan,
                               fault::FaultListener* listener) {
   fault_plan_ = plan;
@@ -992,18 +788,15 @@ void Engine::apply_faults(Round t) {
     DG_EXPECTS(ev.vertex < processes_.size());
     if (ev.kind == fault::FaultKind::kCrash) {
       if (crashed_.test(ev.vertex)) continue;  // idempotent
-      if (sparse_supported_) {
-        // Catch a parked vertex up through t-1 first, so the listener and
-        // on_crash() see exactly the state dense stepping would have left
-        // (all skipped rounds sat inside the silent promise).  The vertex
-        // then parks forever; recovery below unparks it.
-        if (last_stepped_[ev.vertex] < t - 1) {
-          processes_[ev.vertex]->silent_steps(t - 1 -
-                                              last_stepped_[ev.vertex]);
-        }
-        last_stepped_[ev.vertex] = t - 1;
-        silent_until_[ev.vertex] = kParkedForever;
+      // Catch a parked vertex up through t-1 first, so the listener and
+      // on_crash() see exactly the state per-round stepping would have left
+      // (all skipped rounds sat inside the silent promise).  The vertex
+      // then parks forever; recovery below unparks it.
+      if (last_stepped_[ev.vertex] < t - 1) {
+        processes_[ev.vertex]->silent_steps(t - 1 - last_stepped_[ev.vertex]);
       }
+      last_stepped_[ev.vertex] = t - 1;
+      silent_until_[ev.vertex] = kParkedForever;
       crashed_.set(ev.vertex);
       // Listener first: it may read pre-crash process state (e.g. abort
       // the in-flight broadcast) before on_crash wipes it.
@@ -1014,14 +807,12 @@ void Engine::apply_faults(Round t) {
       if (trace_sink_ != nullptr) trace_sink_->crash(t, ev.vertex);
     } else {
       if (!crashed_.test(ev.vertex)) continue;  // idempotent
-      if (sparse_supported_) {
-        // Unpark: the recovered vertex steps from round t (on_recover
-        // rewrites its cursor from the absolute round, so no catch-up).
-        last_stepped_[ev.vertex] = t - 1;
-        silent_until_[ev.vertex] = t - 1;
-        const std::size_t w = ev.vertex >> 6;
-        if (word_silent_until_[w] > t - 1) word_silent_until_[w] = t - 1;
-      }
+      // Unpark: the recovered vertex steps from round t (on_recover
+      // rewrites its cursor from the absolute round, so no catch-up).
+      last_stepped_[ev.vertex] = t - 1;
+      silent_until_[ev.vertex] = t - 1;
+      const std::size_t w = ev.vertex >> 6;
+      if (word_silent_until_[w] > t - 1) word_silent_until_[w] = t - 1;
       crashed_.reset(ev.vertex);
       // Process first: the listener talks to a re-initialized process.
       processes_[ev.vertex]->on_recover(t);
@@ -1063,13 +854,11 @@ void Engine::run_pipeline(bool sharded, std::size_t block_size,
     *(sharded ? m_dispatch_sharded_ : m_dispatch_serial_) += 1;
   }
   deliver_masked_ = false;
-  sparse_active_ = sparse_supported_;
 
   RoundState rs;
   rs.round = t;
   rs.faults = fault_plan_ != nullptr;
   rs.sharded = sharded;
-  rs.sparse = sparse_active_;
   rs.vertex_count = processes_.size();
   rs.block_size = block_size;
   rs.transmitting = &transmitting_;

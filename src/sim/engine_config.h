@@ -1,14 +1,10 @@
-// sim::EngineConfig -- one builder for the engine's grown-by-accretion
-// mutator surface.
+// sim::EngineConfig -- the one builder for the engine's mutator surface.
 //
-// set_round_threads / set_fault_plan / set_telemetry accreted one PR at a
-// time; wrappers and CLIs each call some subset in their own order.  The
-// config object names every knob once, applies in a fixed order
-// (threads, fault plan, splices, telemetry -- so spliced stages exist
-// before the profiler registers per-stage timers), and flows unchanged
-// through LbSimulation::configure() to the engine.  The old setters
-// survive as thin forwarders for incremental migration; new call sites
-// should build a config.
+// The config object names every knob once, applies in a fixed order
+// (threads, oracle switch, fault plan, splices, telemetry -- so spliced
+// stages exist before the profiler registers per-stage timers), and flows
+// unchanged through LbSimulation::configure() to the engine.  Engine and
+// LbSimulation have no per-knob setters: every call site builds a config.
 #pragma once
 
 #include <cstddef>
@@ -45,10 +41,12 @@ struct EngineConfig {
   obs::Registry* registry = nullptr;
   obs::TraceSink* trace_sink = nullptr;
 
-  /// Activity-driven sparse rounds (frontier masks + batched silent steps;
-  /// see docs/PIPELINE.md) -- only applied when has_sparse_rounds is set,
-  /// so a default config keeps the engine's current setting (which starts
-  /// from the DG_SPARSE_ROUNDS environment knob, default on).
+  /// false = the oracle mode: every round runs with a full activity mask
+  /// and no process is parked -- the test reference for the computed
+  /// frontier (see docs/PIPELINE.md).  Only applied when has_sparse_rounds
+  /// is set, and only before round 1, so a default config keeps the
+  /// engine's setting (which starts from the DG_SPARSE_ROUNDS environment
+  /// knob, default on).
   bool has_sparse_rounds = false;
   bool sparse_rounds = true;
 

@@ -57,14 +57,15 @@ class Process {
   /// recv, decide) are emitted from here via protocol-specific callbacks.
   virtual void end_round(RoundContext& ctx) { (void)ctx; }
 
-  /// Fault seam (Engine::set_fault_plan).  While crashed, the process gets
-  /// no transmit()/receive()/end_round() calls at all; on_crash fires once
-  /// at the crash round (after the wrapper's FaultListener has read any
-  /// pre-crash state it needs) and on_recover once at the recovery round,
-  /// where the process must re-initialize its protocol state -- keeping
-  /// only identity-level facts (its id, message sequence numbers) so a
-  /// recovered node rejoins as itself, not as a duplicate.  Both are
-  /// invoked serially at the round boundary, never from worker threads.
+  /// Fault seam (EngineConfig::with_fault_plan).  While crashed, the
+  /// process gets no transmit()/receive()/end_round() calls at all;
+  /// on_crash fires once at the crash round (after the wrapper's
+  /// FaultListener has read any pre-crash state it needs) and on_recover
+  /// once at the recovery round, where the process must re-initialize its
+  /// protocol state -- keeping only identity-level facts (its id, message
+  /// sequence numbers) so a recovered node rejoins as itself, not as a
+  /// duplicate.  Both are invoked serially at the round boundary, never
+  /// from worker threads.
   virtual void on_crash(Round round) { (void)round; }
   virtual void on_recover(Round round) { (void)round; }
 
@@ -88,10 +89,10 @@ class Process {
   /// A promise is conditional: if anything arrives (a count==1 delivery) or
   /// a fault event fires, the engine catches the process up and resumes
   /// per-round stepping, so the observable execution is byte-identical to
-  /// the dense path.  Invoked under the same concurrency discipline as
-  /// transmit()/receive(): serially in serial rounds, from the owning
-  /// block's worker in sharded rounds (sharding already requires
-  /// shard_safe() consent from every process).
+  /// stepping every round (the oracle mode).  Invoked under the same
+  /// concurrency discipline as transmit()/receive(): serially in serial
+  /// rounds, from the owning block's worker in sharded rounds (sharding
+  /// already requires shard_safe() consent from every process).
   virtual std::int64_t silent_steps(std::int64_t k) {
     (void)k;
     return 0;

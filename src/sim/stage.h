@@ -15,7 +15,10 @@
 //   run()         serial dispatch only: the full phase body, inline
 //                 observer fan-out included
 //   run_block()   sharded dispatch only: the parallel body for one vertex
-//                 block [begin, end); must touch only per-vertex state
+//                 block [begin, end); must touch only per-vertex state.
+//                 Core stages write run() and run_block() as one body over
+//                 the round's activity-mask words; a round that needs
+//                 every vertex gets an all-ones mask, not a second body
 //   replay()      sharded dispatch only, serial, after all blocks: replays
 //                 the observer stream in ascending vertex order -- the
 //                 exact events run() would have emitted inline
@@ -52,10 +55,6 @@ struct RoundState {
   std::int64_t round = 0;
   bool faults = false;   ///< a fault plan is installed
   bool sharded = false;  ///< this round runs the block-parallel dispatch
-  /// This round runs the activity-driven sparse dispatch: compute/receive
-  /// visit only frontier words, heard entries outside them are stale.
-  /// Never true while spliced stages are installed (see docs/PIPELINE.md).
-  bool sparse = false;
   std::size_t vertex_count = 0;
   std::size_t block_size = 0;  ///< sharded partition stride (0 when serial)
 
@@ -64,7 +63,10 @@ struct RoundState {
   std::vector<std::uint64_t>* heard = nullptr;  ///< Slab::kHeardWords
   Bitmap* crashed = nullptr;             ///< Slab::kCrashedBitmap
   Bitmap* delivery_mask = nullptr;       ///< Slab::kDeliveryMask
-  const Bitmap* activity = nullptr;      ///< Slab::kActivityMask (frontier)
+  /// Slab::kActivityMask (the frontier): heard entries outside its
+  /// non-zero words are stale.  All-ones in every round once a stage
+  /// declaring a kHeardWords read is spliced in (and in the oracle mode).
+  const Bitmap* activity = nullptr;
   /// Set true by a mask-writing stage to arm the ReceiveStage mask check
   /// for this round; reset by the driver at round start.
   bool* deliver_masked = nullptr;

@@ -12,8 +12,11 @@
 // randomized geometric topologies.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstdlib>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -135,7 +138,7 @@ RunResult run_once(const graph::DualGraph& g,
   auto sched = make_scheduler();
   Engine engine(g, *sched, shard_coins(g.size(), master_seed ^ 0x5eedULL),
                 master_seed);
-  engine.set_round_threads(round_threads);
+  engine.configure(EngineConfig{}.with_round_threads(round_threads));
   StreamObserver stream;
   engine.add_observer(&stream);
   engine.run_rounds(rounds);
@@ -217,7 +220,7 @@ TEST(EngineShardDifferential, SinrChannel) {
     phys::SinrChannel channel(params);
     Engine engine(g, channel, shard_coins(g.size(), master ^ 0x5eedULL),
                   master);
-    engine.set_round_threads(threads);
+    engine.configure(EngineConfig{}.with_round_threads(threads));
     StreamObserver stream;
     engine.add_observer(&stream);
     engine.run_rounds(rounds);
@@ -260,7 +263,7 @@ TEST(EngineShardDifferential, LbStackWithTrafficLedger) {
   const auto run = [&](std::size_t threads) {
     lb::LbSimulation sim(g, std::make_unique<BernoulliScheduler>(0.5), params,
                          /*master_seed=*/2027);
-    sim.set_round_threads(threads);
+    sim.configure(EngineConfig{}.with_round_threads(threads));
     StreamObserver stream;
     sim.add_observer(&stream);
     sim.traffic().set_queue_capacity(4);
@@ -303,13 +306,13 @@ TEST(EngineShardDifferential, LbStackUnderFaultPlan) {
   const auto run = [&](std::size_t threads) {
     lb::LbSimulation sim(g, std::make_unique<BernoulliScheduler>(0.5), params,
                          /*master_seed=*/2028);
-    sim.set_round_threads(threads);
+    sim.configure(EngineConfig{}.with_round_threads(threads));
     StreamObserver stream;
     sim.add_observer(&stream);
     sim.add_traffic(traffic::build_source(tspec, g.size(),
                                           derive_seed(2028, 0x7fcULL)));
     const auto plan = fault::build_fault_plan(fspec);
-    sim.set_fault_plan(plan.get());
+    sim.configure(EngineConfig{}.with_fault_plan(plan.get()));
     sim.run_phases(3);
     const lb::DegradationLedger& led = sim.ledger();
     std::vector<std::uint64_t> fault_ledger = {
@@ -354,9 +357,9 @@ TEST(EngineShardDifferential, LogicalMetricsByteIdentical) {
   const auto run = [&](std::size_t threads) {
     BernoulliScheduler sched(0.5);
     Engine engine(g, sched, shard_coins(g.size(), 0xAB5eedULL), 0xAB);
-    engine.set_round_threads(threads);
+    engine.configure(EngineConfig{}.with_round_threads(threads));
     obs::Registry registry;
-    engine.set_telemetry(&registry);
+    engine.configure(EngineConfig{}.with_telemetry(&registry));
     engine.run_rounds(48);
     return registry.json(/*include_timing=*/false);
   };
@@ -386,13 +389,13 @@ TEST(EngineShardDifferential, LogicalMetricsByteIdenticalUnderFaultPlan) {
   const auto run = [&](std::size_t threads) {
     lb::LbSimulation sim(g, std::make_unique<BernoulliScheduler>(0.5), params,
                          /*master_seed=*/2029);
-    sim.set_round_threads(threads);
+    sim.configure(EngineConfig{}.with_round_threads(threads));
     sim.add_traffic(traffic::build_source(tspec, g.size(),
                                           derive_seed(2029, 0x7fcULL)));
     const auto plan = fault::build_fault_plan(fspec);
-    sim.set_fault_plan(plan.get());
+    sim.configure(EngineConfig{}.with_fault_plan(plan.get()));
     obs::Registry registry;
-    sim.set_telemetry(&registry);
+    sim.configure(EngineConfig{}.with_telemetry(&registry));
     sim.run_phases(3);
     sim.export_telemetry();
     return registry.json(/*include_timing=*/false);
@@ -461,16 +464,17 @@ TEST(EngineShardProperty, RandomizedTopologySweep) {
   }
 }
 
-// ---- sparse-vs-dense differential: the activity-driven round path ----
+// ---- computed frontier vs the oracle mode ----
 //
-// Every suite above already runs with the session default (sparse on unless
-// DG_SPARSE_ROUNDS=0), so the dense-generated goldens double as a sparse
-// regression net.  This section pins the two dispatches against each other
-// *explicitly*: the same execution with sparse rounds forced on and forced
-// off must be byte-identical -- observer stream, process end state, traffic
+// Every suite above already runs with the session default (computed
+// frontier with parking unless DG_SPARSE_ROUNDS=0), and CI runs the whole
+// suite once more in the oracle mode, so every golden is checked against
+// both.  This section pins the two *explicitly*: the same execution with
+// the computed frontier and with the oracle mode (full mask, no parking)
+// must be byte-identical -- observer stream, process end state, traffic
 // and degradation ledgers, logical telemetry -- at every thread count.
 
-/// run_once with the sparse knob forced, instead of the session default.
+/// run_once with the oracle switch forced, instead of the session default.
 RunResult run_once_sparse(const graph::DualGraph& g,
                           const std::function<std::unique_ptr<LinkScheduler>()>&
                               make_scheduler,
@@ -479,9 +483,10 @@ RunResult run_once_sparse(const graph::DualGraph& g,
   auto sched = make_scheduler();
   Engine engine(g, *sched, shard_coins(g.size(), master_seed ^ 0x5eedULL),
                 master_seed);
-  engine.set_round_threads(round_threads);
-  engine.set_sparse_rounds(sparse);
-  EXPECT_EQ(engine.sparse_rounds_active(), sparse);
+  engine.configure(EngineConfig{}
+                       .with_round_threads(round_threads)
+                       .with_sparse_rounds(sparse));
+  EXPECT_EQ(engine.sparse_rounds(), sparse);
   StreamObserver stream;
   engine.add_observer(&stream);
   engine.run_rounds(rounds);
@@ -536,15 +541,16 @@ TEST(EngineSparseDifferential, CoinHarnessAcrossTopologies) {
 
 TEST(EngineSparseDifferential, SinrChannel) {
   // The SINR frontier (near-cell membership of transmitter cells) against
-  // the full-range dense verdict loop.
+  // the verdict loop over a full mask.
   const auto g = graph::grid(14, 14, 1.0, 1.5);
   const auto run = [&](std::size_t threads, bool sparse) {
     phys::SinrParams params;
     phys::SinrChannel channel(params);
     Engine engine(g, channel, shard_coins(g.size(), 0xB0B ^ 0x5eedULL), 0xB0B);
-    engine.set_round_threads(threads);
-    engine.set_sparse_rounds(sparse);
-    EXPECT_EQ(engine.sparse_rounds_active(), sparse);
+    engine.configure(EngineConfig{}
+                         .with_round_threads(threads)
+                         .with_sparse_rounds(sparse));
+    EXPECT_EQ(engine.sparse_rounds(), sparse);
     StreamObserver stream;
     engine.add_observer(&stream);
     engine.run_rounds(32);
@@ -590,7 +596,7 @@ TEST(EngineSparseDifferential, LbStackMatrix) {
           sim.configure(EngineConfig{}
                             .with_round_threads(threads)
                             .with_sparse_rounds(sparse));
-          EXPECT_EQ(sim.engine().sparse_rounds_active(), sparse);
+          EXPECT_EQ(sim.engine().sparse_rounds(), sparse);
           StreamObserver stream;
           sim.add_observer(&stream);
           sim.add_traffic(traffic::build_source(
@@ -598,7 +604,7 @@ TEST(EngineSparseDifferential, LbStackMatrix) {
           std::unique_ptr<fault::FaultPlan> plan;
           if (faults) {
             plan = fault::build_fault_plan(fspec);
-            sim.set_fault_plan(plan.get());
+            sim.configure(EngineConfig{}.with_fault_plan(plan.get()));
           }
           sim.run_phases(2);
           auto all = ledger(sim.traffic().stats());
@@ -633,31 +639,67 @@ TEST(EngineSparseDifferential, LbStackMatrix) {
 }
 
 TEST(EngineSparseDifferential, LogicalMetricsByteIdenticalAcrossSparse) {
-  // The logical telemetry domain must not leak which dispatch ran; the
-  // sparse-only counters (engine.active_blocks, engine.frontier_fraction)
+  // The logical telemetry domain must not leak which mask ran; the
+  // frontier counters (engine.active_blocks, engine.frontier_fraction)
   // live in the excluded timing domain.
   const auto g = graph::grid(16, 16, 1.0, 1.5);
   const auto run = [&](bool sparse) {
     BernoulliScheduler sched(0.5);
     Engine engine(g, sched, shard_coins(g.size(), 0xAB5eedULL), 0xAB);
-    engine.set_sparse_rounds(sparse);
     obs::Registry registry;
-    engine.set_telemetry(&registry);
+    engine.configure(
+        EngineConfig{}.with_sparse_rounds(sparse).with_telemetry(&registry));
     engine.run_rounds(48);
     return registry.json(/*include_timing=*/false);
   };
   ASSERT_EQ(run(false), run(true));
 }
 
-TEST(EngineSparseDifferential, SpliceForcesDenseAndFlushesParked) {
-  // Spliced stages see the heard slab, whose non-frontier entries are stale
-  // under sparse dispatch, so installing one must drop the engine to dense
-  // rounds -- including mid-run, where already-parked vertices are caught
-  // up (flushed) before the first spliced round.  Seed processes park
-  // forever once their runner is done, making them the sharpest fixture.
-  const auto g = graph::grid(8, 8, 1.0, 1.5);
+// ---- splices under frontier dispatch ----
+//
+// Installing a splice leaves the frontier dispatch on.  A splice whose
+// declared reads include heard_words (tap:heard_words, dedup) gets an
+// all-ones activity mask, the others keep the computed frontier; parked
+// processes stay parked either way.  Each splice must still match the
+// oracle mode byte for byte.
+
+const char* const kSplices[] = {"noop", "tap:transmit_bitmap",
+                                "tap:heard_words", "dedup:4"};
+
+SpliceSpec splice(const std::string& text) {
+  SpliceSpec spec;
+  std::string error;
+  EXPECT_TRUE(parse_splice_spec(text, spec, error)) << error;
+  return spec;
+}
+
+/// Events, process end state and the logical METRICS dump of one run.
+struct SplicedResult {
+  std::vector<std::string> events;
+  std::vector<std::uint64_t> state;
+  std::string logical;
+};
+
+void expect_same(const SplicedResult& oracle, const SplicedResult& frontier,
+                 const std::string& what) {
+  ASSERT_EQ(oracle.state, frontier.state) << what << " (process state)";
+  ASSERT_EQ(oracle.logical, frontier.logical) << what << " (METRICS)";
+  ASSERT_EQ(oracle.events.size(), frontier.events.size()) << what;
+  for (std::size_t i = 0; i < oracle.events.size(); ++i) {
+    ASSERT_EQ(oracle.events[i], frontier.events[i])
+        << what << ", event " << i;
+  }
+}
+
+TEST(EngineSparseDifferential, SplicesOnParkedSeedProcesses) {
+  // Seed processes park forever once their runner is done, making them the
+  // sharpest fixture: the splice goes in either before round 1 (so it sees
+  // the whole SeedAlg run) or mid-run, after every vertex has parked.
+  const auto g = graph::grid(12, 12, 1.0, 1.5);  // n=144: 3 words
   const auto seed_params = seed::SeedAlgParams::make(0.1, g.delta());
-  const auto run = [&](bool sparse) {
+  const Round parked_at = seed_params.total_rounds() + 16;
+  const auto run = [&](const char* text, bool mid_run, std::size_t threads,
+                       bool sparse) {
     const auto ids = assign_ids(g.size(), 7);
     std::vector<std::unique_ptr<Process>> procs;
     Rng init(99);
@@ -667,35 +709,155 @@ TEST(EngineSparseDifferential, SpliceForcesDenseAndFlushesParked) {
     }
     BernoulliScheduler sched(0.5);
     Engine engine(g, sched, std::move(procs), 1234);
-    engine.set_sparse_rounds(sparse);
+    obs::Registry registry;
+    EngineConfig config;
+    config.with_round_threads(threads).with_sparse_rounds(sparse);
+    config.with_telemetry(&registry);
+    if (!mid_run) config.with_splice(splice(text));
+    engine.configure(config);
     StreamObserver stream;
     engine.add_observer(&stream);
-    // Phase 1: the full SeedAlg run plus a parked stretch.
-    engine.run_rounds(seed_params.total_rounds() + 16);
-    EXPECT_EQ(engine.sparse_rounds_active(), sparse);
-    // Phase 2: a mid-run noop splice forces dense dispatch from here on
-    // (and flushes the parked cursors); a noop is byte-free, so the dense
-    // reference needs no matching splice semantics.
-    SpliceSpec spec;
-    std::string error;
-    EXPECT_TRUE(parse_splice_spec("noop", spec, error)) << error;
-    EXPECT_EQ(engine.splice_stage(spec), "");
-    EXPECT_FALSE(engine.sparse_rounds_active());
+    engine.run_rounds(parked_at);
+    if (mid_run) {
+      EXPECT_EQ(engine.splice_stage(splice(text)), "");
+      EXPECT_EQ(engine.sparse_rounds(), sparse);
+    }
     engine.run_rounds(12);
-    std::vector<std::uint64_t> decisions;
+    SplicedResult result{stream.events(), {},
+                         registry.json(/*include_timing=*/false)};
     for (graph::Vertex v = 0; v < g.size(); ++v) {
       const auto& d =
           dynamic_cast<const seed::SeedProcess&>(engine.process(v)).decision();
-      decisions.push_back(d.has_value() ? d->seed_value ^ (d->owner * 3U) : 0);
+      result.state.push_back(d.has_value() ? d->seed_value ^ (d->owner * 3U)
+                                           : 0);
     }
-    return std::make_pair(stream.events(), decisions);
+    return result;
   };
-  const auto dense = run(false);
-  const auto sparse = run(true);
-  ASSERT_EQ(dense.second, sparse.second) << "seed decisions";
-  ASSERT_EQ(dense.first.size(), sparse.first.size());
-  for (std::size_t i = 0; i < dense.first.size(); ++i) {
-    ASSERT_EQ(dense.first[i], sparse.first[i]) << "event " << i;
+  for (const char* text : kSplices) {
+    for (bool mid_run : {false, true}) {
+      for (std::size_t threads : kThreadCounts) {
+        const std::string what = std::string(text) +
+                                 (mid_run ? " mid-run" : " from round 1") +
+                                 " @ " + std::to_string(threads) + " threads";
+        expect_same(run(text, mid_run, threads, false),
+                    run(text, mid_run, threads, true), what);
+      }
+    }
+  }
+}
+
+/// The LB stack over a 10x10 grid with poisson traffic, optionally a fault
+/// plan, and the given splices.  `probe` (optional) sees the engine after
+/// every round.
+SplicedResult run_lb_spliced(const std::vector<std::string>& splices,
+                             bool faults, std::size_t threads, bool sparse,
+                             const std::function<void(const Engine&)>& probe =
+                                 nullptr) {
+  const auto g = graph::grid(10, 10, 1.0, 1.5);
+  lb::LbScales scales;
+  scales.ack_scale = 0.02;
+  const auto params =
+      lb::LbParams::calibrated(0.1, 1.5, g.delta(), g.delta_prime(), scales);
+  traffic::TrafficSpec tspec;
+  EXPECT_EQ(traffic::parse_traffic_spec("poisson:0.05", tspec), "");
+  fault::FaultSpec fspec;
+  EXPECT_EQ(fault::parse_fault_spec("poisson:0.1:96", fspec), "");
+
+  lb::LbSimulation sim(g, std::make_unique<BernoulliScheduler>(0.5), params,
+                       /*master_seed=*/2031);
+  const auto plan = faults ? fault::build_fault_plan(fspec) : nullptr;
+  obs::Registry registry;
+  EngineConfig config;
+  config.with_round_threads(threads).with_sparse_rounds(sparse);
+  if (faults) config.with_fault_plan(plan.get());
+  for (const std::string& text : splices) config.with_splice(splice(text));
+  config.with_telemetry(&registry);
+  sim.configure(config);
+  StreamObserver stream;
+  sim.add_observer(&stream);
+  sim.add_traffic(traffic::build_source(tspec, g.size(),
+                                        derive_seed(2031, 0x7fcULL)));
+  const Round rounds = 2 * sim.params().phase_length();
+  for (Round i = 0; i < rounds; ++i) {
+    sim.run_round();
+    if (probe) probe(sim.engine());
+  }
+  sim.export_telemetry();
+  SplicedResult result{stream.events(), ledger(sim.traffic().stats()),
+                       registry.json(/*include_timing=*/false)};
+  const lb::DegradationLedger& led = sim.ledger();
+  result.state.insert(result.state.end(),
+                      {led.crashes, led.recoveries, led.restab_count,
+                       led.restab_rounds_sum, led.fault_rounds,
+                       led.acks_in_fault_rounds,
+                       registry.counter("stage.dedup.suppressed",
+                                        obs::Domain::kLogical)});
+  return result;
+}
+
+TEST(EngineSparseDifferential, LbStackWithFaultsAndDedup) {
+  // LbProcesses park in their receiving-state bodies and after recovery;
+  // dedup masks their repeated deliveries, so a parked vertex must take a
+  // masked delivery as the null it promised to ignore.
+  for (std::size_t threads : kThreadCounts) {
+    const SplicedResult oracle =
+        run_lb_spliced({"dedup:4"}, /*faults=*/true, threads, false);
+    const SplicedResult frontier =
+        run_lb_spliced({"dedup:4"}, /*faults=*/true, threads, true);
+    EXPECT_GT(oracle.state.back(), 0u) << "dedup never fired; weak fixture";
+    EXPECT_GT(oracle.state[13], 0u) << "no crash-requeues; weak fixture";
+    expect_same(oracle, frontier,
+                "dedup:4 + faults @ " + std::to_string(threads) + " threads");
+  }
+}
+
+TEST(EngineSparseDifferential, FullMaskOnlyForHeardReaders) {
+  // A splice declaring a heard_words read makes every round carry an
+  // all-ones activity mask; the others keep the computed frontier, which
+  // under this light load leaves most words empty.  The oracle mode is
+  // all-ones throughout.
+  for (const char* text : kSplices) {
+    const bool reads_heard = slab_set_contains(
+        splice_reads(splice(text)), Slab::kHeardWords);
+    for (bool sparse : {false, true}) {
+      std::size_t min_count = std::numeric_limits<std::size_t>::max();
+      std::size_t n = 0;
+      const SplicedResult result = run_lb_spliced(
+          {text}, /*faults=*/false, 1, sparse, [&](const Engine& engine) {
+            n = engine.process_count();
+            min_count = std::min(min_count, engine.activity_mask().count());
+          });
+      const bool full = !sparse || reads_heard;
+      if (full) {
+        EXPECT_EQ(min_count, n) << text << (sparse ? "" : " (oracle)");
+      } else {
+        EXPECT_LT(min_count, n) << text;
+      }
+    }
+  }
+}
+
+TEST(EngineShardProperty, DefaultRoundThreadsAcceptsDigitsOnly) {
+  // DG_ROUND_THREADS is "max", a positive decimal integer, or invalid (1).
+  // A sign or leading whitespace must not parse: "-1" once wrapped to
+  // 2^64-1 threads and killed the process in the block-size arithmetic.
+  const char* saved = std::getenv("DG_ROUND_THREADS");
+  const std::string restore = saved != nullptr ? saved : "";
+  const auto threads_for = [](const char* value) {
+    setenv("DG_ROUND_THREADS", value, /*overwrite=*/1);
+    return Engine::default_round_threads();
+  };
+  EXPECT_EQ(threads_for("-1"), 1u);
+  EXPECT_EQ(threads_for("+2"), 1u);
+  EXPECT_EQ(threads_for(" 2"), 1u);
+  EXPECT_EQ(threads_for("2 "), 1u);
+  EXPECT_EQ(threads_for("0"), 1u);
+  EXPECT_EQ(threads_for("99999999999999999999999"), 1u);
+  EXPECT_EQ(threads_for("3"), 3u);
+  if (saved != nullptr) {
+    setenv("DG_ROUND_THREADS", restore.c_str(), /*overwrite=*/1);
+  } else {
+    unsetenv("DG_ROUND_THREADS");
   }
 }
 
@@ -724,7 +886,7 @@ TEST(EngineShardProperty, NonConsentingProcessForcesSerial) {
     }
     BernoulliScheduler sched(0.5);
     Engine engine(g, sched, std::move(procs), 99);
-    engine.set_round_threads(threads);
+    engine.configure(EngineConfig{}.with_round_threads(threads));
     StreamObserver stream;
     engine.add_observer(&stream);
     engine.run_rounds(24);

@@ -42,7 +42,8 @@ geo::Embedding random_embedding(std::size_t n, double side, Rng& rng) {
   return emb;
 }
 
-/// Runs one SinrChannel round directly: heard words per vertex.
+/// Runs one SinrChannel round directly over a full activity mask: heard
+/// words per vertex.
 std::vector<std::uint64_t> sinr_round(const SinrParams& params,
                                       const geo::Embedding& emb,
                                       const std::vector<graph::Vertex>& tx) {
@@ -52,7 +53,9 @@ std::vector<std::uint64_t> sinr_round(const SinrParams& params,
   Bitmap transmitting(emb.size());
   for (graph::Vertex v : tx) transmitting.set(v);
   std::vector<std::uint64_t> heard(emb.size(), 0);
-  channel.compute_round(1, transmitting, heard);
+  Bitmap everyone(emb.size());
+  everyone.set_all();  // the full mask: every receiver's verdict
+  channel.compute_round(1, transmitting, heard, everyone);
   return heard;
 }
 

@@ -462,31 +462,39 @@ TEST(EngineSplice, TapCounterMatchesObserverStream) {
       stream.tx_events());
 }
 
-// ---- EngineConfig vs the deprecated setter surface ----
+// ---- EngineConfig: one call or one piece at a time ----
 
-TEST(EngineConfigApi, ConfigureMatchesDeprecatedSetters) {
+TEST(EngineConfigApi, PiecewiseConfigureMatchesOneCall) {
+  // configure() applies only the pieces a config sets, so installing them
+  // through separate one-piece configs (in configure's own order) must be
+  // indistinguishable from one combined call.
   const auto g = graph::grid(10, 10, 1.0, 1.5);
-  const auto run = [&](bool use_config) {
+  const auto run = [&](bool one_call) {
     BernoulliScheduler sched(0.5);
     Engine engine(g, sched, repeat_procs(g.size(), 0xC0FFEEULL), 0xC0FFEE);
     obs::Registry registry;
-    if (use_config) {
-      engine.configure(
-          EngineConfig().with_round_threads(3).with_telemetry(&registry));
+    if (one_call) {
+      engine.configure(EngineConfig()
+                           .with_round_threads(3)
+                           .with_splice(parse_ok("dedup:2"))
+                           .with_telemetry(&registry));
     } else {
-      engine.set_round_threads(3);
-      engine.set_telemetry(&registry);
+      engine.configure(EngineConfig().with_round_threads(3));
+      engine.configure(EngineConfig().with_splice(parse_ok("dedup:2")));
+      engine.configure(EngineConfig().with_telemetry(&registry));
     }
+    EXPECT_EQ(engine.round_threads(), 3u);
     StreamObserver stream;
     engine.add_observer(&stream);
     engine.run_rounds(24);
     return std::make_pair(stream.events(),
                           registry.json(/*include_timing=*/false));
   };
-  const auto via_setters = run(false);
-  const auto via_config = run(true);
-  EXPECT_EQ(via_setters.first, via_config.first);
-  EXPECT_EQ(via_setters.second, via_config.second);
+  const auto pieces = run(false);
+  const auto combined = run(true);
+  EXPECT_NE(combined.second.find("stage.dedup.suppressed"), std::string::npos);
+  EXPECT_EQ(pieces.first, combined.first);
+  EXPECT_EQ(pieces.second, combined.second);
 }
 
 }  // namespace
