@@ -41,12 +41,13 @@ class LbListener {
   virtual void on_recv(graph::Vertex vertex, const sim::MessageId& m,
                        std::uint64_t content, sim::Round round) = 0;
 
-  /// Whether on_ack/on_recv tolerate concurrent calls from the engine's
-  /// sharded round loop (distinct vertices only; at most one call of each
-  /// kind per vertex per round).  Listeners that buffer per vertex and
-  /// flush at the serial RoundHooks checkpoints return true (see
-  /// lb/simulation.cpp's Fanout); the conservative default keeps processes
-  /// with an unknown listener on the serial path.
+  /// Whether on_ack/on_recv tolerate concurrent calls from sharded rounds
+  /// (distinct vertices only; at most one call of each kind per vertex per
+  /// round).  Listeners that buffer per vertex and flush at the serial
+  /// RoundHooks checkpoints return true -- LbSimulation's Fanout always
+  /// does (see lb/simulation.cpp); the conservative default keeps an
+  /// engine whose processes have an unknown listener in serial rounds.
+  /// Read once, when the engine is constructed.
   virtual bool concurrent_safe() const { return false; }
 };
 

@@ -1,6 +1,10 @@
 #include "lb/simulation.h"
 
+#include <bit>
+#include <utility>
+
 #include "util/assert.h"
+#include "util/bitmap.h"
 #include "util/rng.h"
 
 namespace dg::lb {
@@ -9,109 +13,88 @@ namespace dg::lb {
 /// (latency/throughput ledger), and an optional extra listener (e.g. the
 /// abstract MAC adapter).
 ///
-/// Under sharded rounds the forwarding targets are not concurrent-safe, so
-/// the Fanout grows a buffered mode: each vertex parks its (at most one)
-/// recv and ack of the round in a per-vertex slot -- disjoint writes, no
+/// The forwarding targets are not concurrent-safe, so the Fanout always
+/// buffers: each vertex parks its (at most one) recv and ack of the round
+/// in a per-vertex slot and marks itself in a pending bitmap -- disjoint
+/// slots and block-owned bitmap words, so sharded rounds need no
 /// synchronization -- and the engine's serial RoundHooks checkpoints flush
-/// the slots in ascending vertex order.  The serial loop delivers recvs in
-/// ascending receiver order during the reception phase and acks in
-/// ascending vertex order during the output phase, so the flushed call
-/// sequence is byte-for-byte the serial one; downstream state (checker
-/// report, traffic ledger) cannot tell the modes apart.
+/// the pending vertices in ascending vertex order: recvs after the receive
+/// phase, acks after the output phase.  The forwarded call sequence is
+/// therefore the same at every thread count, and a flush costs
+/// O(n/64 + events).  LbProcess emits recvs from receive() and acks from
+/// end_round(), so every parked output belongs to the round being flushed
+/// and the slots need not store it.
 class LbSimulation::Fanout final : public LbListener, public sim::RoundHooks {
  public:
-  explicit Fanout(LbSimulation& owner) : owner_(&owner) {}
+  Fanout(LbSimulation& owner, std::size_t n)
+      : owner_(&owner), recv_(n), ack_(n), recv_pending_(n), ack_pending_(n) {}
 
-  /// Rounds 1-based, so round == 0 marks an empty slot.
-  void set_buffered(bool buffered, std::size_t n) {
-    buffered_ = buffered;
-    recv_.assign(buffered ? n : 0, RecvSlot{});
-    ack_.assign(buffered ? n : 0, AckSlot{});
-  }
-
-  bool concurrent_safe() const override { return buffered_; }
+  bool concurrent_safe() const override { return true; }
 
   void on_ack(graph::Vertex vertex, const sim::MessageId& m,
-              sim::Round round) override {
-    if (buffered_) {
-      ack_[vertex] = AckSlot{m, round};
-      return;
-    }
-    forward_ack(vertex, m, round);
+              sim::Round) override {
+    ack_[vertex] = m;
+    ack_pending_.set(vertex);
   }
 
   void on_recv(graph::Vertex vertex, const sim::MessageId& m,
-               std::uint64_t content, sim::Round round) override {
-    if (buffered_) {
-      recv_[vertex] = RecvSlot{m, content, round};
-      return;
-    }
-    forward_recv(vertex, m, content, round);
+               std::uint64_t content, sim::Round) override {
+    recv_[vertex] = RecvSlot{m, content};
+    recv_pending_.set(vertex);
   }
 
-  // sim::RoundHooks (fired serially by both engine round loops):
+  // sim::RoundHooks (fired serially in every round):
   void after_receive_phase(sim::Round round) override {
-    (void)round;
-    if (!buffered_) return;
-    for (graph::Vertex v = 0; v < static_cast<graph::Vertex>(recv_.size());
-         ++v) {
-      RecvSlot& slot = recv_[v];
-      if (slot.round == 0) continue;
-      forward_recv(v, slot.m, slot.content, slot.round);
-      slot.round = 0;
-    }
+    drain(recv_pending_, [&](graph::Vertex v) {
+      const RecvSlot& slot = recv_[v];
+      owner_->checker_->on_recv(v, slot.m, slot.content, round);
+      owner_->traffic_->on_recv(slot.m, round);
+      if (owner_->extra_ != nullptr) {
+        owner_->extra_->on_recv(v, slot.m, slot.content, round);
+      }
+    });
   }
 
   void after_output_phase(sim::Round round) override {
-    (void)round;
-    if (!buffered_) return;
-    for (graph::Vertex v = 0; v < static_cast<graph::Vertex>(ack_.size());
-         ++v) {
-      AckSlot& slot = ack_[v];
-      if (slot.round == 0) continue;
-      forward_ack(v, slot.m, slot.round);
-      slot.round = 0;
-    }
+    drain(ack_pending_, [&](graph::Vertex v) {
+      const sim::MessageId& m = ack_[v];
+      owner_->checker_->on_ack(v, m, round);
+      owner_->traffic_->on_ack(m, round);
+      // Completed-broadcast progress feed for adaptive fault plans (the
+      // k-crash adversary targets the highest-progress vertices), in the
+      // same ascending-vertex order at any thread count.
+      if (owner_->fault_plan_ != nullptr) {
+        owner_->fault_plan_->note_progress(v);
+      }
+      if (owner_->extra_ != nullptr) owner_->extra_->on_ack(v, m, round);
+    });
   }
 
  private:
   struct RecvSlot {
     sim::MessageId m;
     std::uint64_t content = 0;
-    sim::Round round = 0;  // 0 = empty
-  };
-  struct AckSlot {
-    sim::MessageId m;
-    sim::Round round = 0;  // 0 = empty
   };
 
-  void forward_ack(graph::Vertex vertex, const sim::MessageId& m,
-                   sim::Round round) {
-    owner_->checker_->on_ack(vertex, m, round);
-    owner_->traffic_->on_ack(m, round);
-    // Completed-broadcast progress feed for adaptive fault plans (the
-    // k-crash adversary targets the highest-progress vertices).  Runs on
-    // the serial path in both fan-out modes, so plans see the identical
-    // ascending-vertex order at any thread count.
-    if (owner_->fault_plan_ != nullptr) {
-      owner_->fault_plan_->note_progress(vertex);
-    }
-    if (owner_->extra_ != nullptr) owner_->extra_->on_ack(vertex, m, round);
-  }
-
-  void forward_recv(graph::Vertex vertex, const sim::MessageId& m,
-                    std::uint64_t content, sim::Round round) {
-    owner_->checker_->on_recv(vertex, m, content, round);
-    owner_->traffic_->on_recv(m, round);
-    if (owner_->extra_ != nullptr) {
-      owner_->extra_->on_recv(vertex, m, content, round);
+  /// Calls f(v) for every pending vertex in ascending order, clearing the
+  /// bitmap word by word as it goes.
+  template <class F>
+  static void drain(Bitmap& pending, F&& f) {
+    auto words = pending.words();
+    for (std::size_t w = 0; w < words.size(); ++w) {
+      for (std::uint64_t bits = std::exchange(words[w], 0); bits != 0;
+           bits &= bits - 1) {
+        f(static_cast<graph::Vertex>(
+            w * 64 + static_cast<std::size_t>(std::countr_zero(bits))));
+      }
     }
   }
 
   LbSimulation* owner_;
-  bool buffered_ = false;
   std::vector<RecvSlot> recv_;
-  std::vector<AckSlot> ack_;
+  std::vector<sim::MessageId> ack_;
+  Bitmap recv_pending_;
+  Bitmap ack_pending_;
 };
 
 /// Routes the engine's fault events into the rest of the stack, preserving
@@ -179,7 +162,7 @@ LbSimulation::LbSimulation(const graph::DualGraph& g,
       scheduler_(std::move(scheduler)),
       channel_(std::move(channel)),
       ids_(sim::assign_ids(g.size(), derive_seed(master_seed, 0x1d5ULL))),
-      fanout_(std::make_unique<Fanout>(*this)),
+      fanout_(std::make_unique<Fanout>(*this, g.size())),
       checker_(std::make_unique<LbSpecChecker>(g, ids_, params)),
       traffic_port_(std::make_unique<TrafficPort>(*this)),
       traffic_(std::make_unique<traffic::Injector>(g.size(),
@@ -204,29 +187,14 @@ LbSimulation::LbSimulation(const graph::DualGraph& g,
     checker_->set_require_gprime_adjacency(channel_->respects_dual_graph());
   }
   engine_->add_observer(checker_.get());
-  // Honor the DG_ROUND_THREADS default the engine picked up at init: the
-  // thread-cap path also enables the buffered fan-out (without which the
-  // LbProcesses would withhold shard consent and every round would fall
-  // back serial).
-  apply_round_threads(engine_->round_threads());
-}
-
-void LbSimulation::apply_round_threads(std::size_t threads) {
-  const bool shard = threads > 1;
-  fanout_->set_buffered(shard, graph_->size());
-  engine_->set_round_hooks(shard ? fanout_.get() : nullptr);
-  // Last: the engine re-polls shard_safe() here, and the processes' answer
-  // depends on the fan-out mode just configured.
-  engine_->configure(sim::EngineConfig{}.with_round_threads(threads));
+  engine_->set_round_hooks(fanout_.get());
 }
 
 void LbSimulation::configure(const sim::EngineConfig& config) {
-  if (config.round_threads != 0) apply_round_threads(config.round_threads);
-  // Everything else goes to the engine in one call (its fixed order:
-  // oracle switch, fault plan, splices, telemetry), with the wrapper's own
-  // listener and sink bookkeeping swapped in.
-  sim::EngineConfig rest = config;
-  rest.round_threads = 0;
+  // Everything goes to the engine in one call (its fixed order: thread
+  // cap, oracle switch, fault plan, splices, telemetry), with the
+  // wrapper's own listener and sink bookkeeping swapped in.
+  sim::EngineConfig engine_config = config;
   if (config.has_fault_plan) {
     // The wrapper owns the listener side (its FaultBridge routes engine
     // fault events through the abort/checker/traffic accounting); a
@@ -236,15 +204,15 @@ void LbSimulation::configure(const sim::EngineConfig& config) {
     if (fault_plan_ != nullptr && fault_bridge_ == nullptr) {
       fault_bridge_ = std::make_unique<FaultBridge>(*this);
     }
-    rest.fault_listener = fault_plan_ != nullptr ? fault_bridge_.get()
+    engine_config.fault_listener = fault_plan_ != nullptr ? fault_bridge_.get()
                                                  : nullptr;
   }
   if (config.has_telemetry) {
     obs_registry_ = config.registry;
     obs_trace_ = config.registry != nullptr ? config.trace_sink : nullptr;
-    rest.trace_sink = obs_trace_;
+    engine_config.trace_sink = obs_trace_;
   }
-  engine_->configure(rest);
+  engine_->configure(engine_config);
 }
 
 LbSimulation::~LbSimulation() = default;

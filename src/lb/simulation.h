@@ -95,14 +95,14 @@ class LbSimulation {
 
   /// Applies a sim::EngineConfig through the wrapper-aware paths, each
   /// piece only if set (a default EngineConfig is a no-op):
-  ///  - the thread cap also switches the listener fan-out: with threads > 1
-  ///    the Fanout buffers per-vertex recv/ack callbacks during the
-  ///    parallel phases and flushes them at the serial between-phase
-  ///    checkpoints, in ascending vertex order -- the exact call sequence
-  ///    of the serial dispatch, so checker reports, traffic ledgers and
-  ///    extra listeners are byte-identical at any thread count.
-  ///    Constructed simulations start at sim::Engine::
-  ///    default_round_threads() (the DG_ROUND_THREADS environment knob).
+  ///  - the thread cap goes to the engine unchanged.  Constructed
+  ///    simulations start at sim::Engine::default_round_threads() (the
+  ///    DG_ROUND_THREADS environment knob).  The listener fan-out does not
+  ///    depend on it: the Fanout always buffers per-vertex recv/ack
+  ///    callbacks and flushes them at the engine's serial between-phase
+  ///    checkpoints in ascending vertex order (recvs after the receive
+  ///    phase, acks after the output phase), so checker reports, traffic
+  ///    ledgers and extra listeners are byte-identical at any thread count.
   ///  - a fault plan (see fault/plan.h; it must outlive the simulation,
   ///    nullptr detaches) is bridged to the whole stack by the wrapper's
   ///    own FaultBridge listener, so the config must not carry one: a
@@ -136,7 +136,9 @@ class LbSimulation {
   sim::Engine& engine() noexcept { return *engine_; }
 
   /// Extra listener for service outputs (e.g. the abstract MAC adapter);
-  /// may be set once, before running.
+  /// may be set once, before running.  It is called from the engine's
+  /// serial checkpoints: a round's recvs after its receive phase, its acks
+  /// after its output phase, each in ascending vertex order.
   void set_extra_listener(LbListener* listener) { extra_ = listener; }
 
   /// Extra engine observer (bench instrumentation).
@@ -163,11 +165,6 @@ class LbSimulation {
                std::unique_ptr<sim::LinkScheduler> scheduler,
                std::unique_ptr<phys::ChannelModel> channel,
                const LbParams& params, std::uint64_t master_seed);
-
-  /// configure()'s thread-cap piece: fan-out mode and round hooks first,
-  /// then the engine cap (which re-polls shard_safe(), whose answer
-  /// depends on the fan-out mode).
-  void apply_round_threads(std::size_t threads);
 
   const graph::DualGraph* graph_;
   LbParams params_;

@@ -1,5 +1,6 @@
 #include "scn/scenario.h"
 
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
@@ -11,6 +12,7 @@
 #include "graph/generators.h"
 #include "scn/json.h"
 #include "scn/spec_error.h"
+#include "sim/engine_config.h"
 #include "sim/splice.h"
 #include "util/assert.h"
 #include "util/specparse.h"
@@ -139,9 +141,13 @@ class ObjectReader {
     return true;
   }
 
-  bool size(const char* key, std::size_t& out, std::size_t min = 1) {
+  bool size(const char* key, std::size_t& out, std::size_t min = 1,
+            std::size_t max = std::size_t{1} << 53) {
     std::int64_t v = static_cast<std::int64_t>(out);
-    if (!integer(key, v, static_cast<std::int64_t>(min))) return false;
+    if (!integer(key, v, static_cast<std::int64_t>(min),
+                 static_cast<std::int64_t>(max))) {
+      return false;
+    }
     out = static_cast<std::size_t>(v);
     return true;
   }
@@ -516,7 +522,8 @@ bool parse_scenario(Ctx& ctx, const json::Value& v, const std::string& path,
   std::int64_t seed = 0;
   bool have_seed = v.find("seed") != nullptr;
   if (!r.integer("trials", trials, 1) || !r.integer("seed", seed, 0) ||
-      !r.size("round_threads", out.round_threads) ||
+      !r.size("round_threads", out.round_threads, 1,
+              sim::kMaxRoundThreads) ||
       !r.boolean("obs", out.obs)) {
     return false;
   }
@@ -702,12 +709,18 @@ std::string validate_round_threads_value(const std::string& value,
       return "round-threads needs a positive integer; got '" + value + "'";
     }
   }
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(value.c_str(), &end, 10);
-  if (end != value.c_str() + value.size() || parsed == 0) {
-    return "round-threads must be >= 1 (serial is 1); got '" + value + "'";
+  // from_chars reports overflow; strtoull would saturate and hand the
+  // engine 2^64-1 threads.
+  std::size_t parsed = 0;
+  const auto [ptr, ec] =
+      std::from_chars(value.data(), value.data() + value.size(), parsed);
+  if (ec != std::errc() || ptr != value.data() + value.size() ||
+      parsed == 0 || parsed > sim::kMaxRoundThreads) {
+    return "round-threads must be in [1, " +
+           std::to_string(sim::kMaxRoundThreads) + "] (serial is 1); got '" +
+           value + "'";
   }
-  out = static_cast<std::size_t>(parsed);
+  out = parsed;
   return "";
 }
 

@@ -174,8 +174,9 @@ CampaignParse parse_campaign_file(const std::string& path);
 /// Returns "" or a message naming the offending token.
 std::string validate_scheduler_spec(const std::string& spec);
 
-/// Validates a --round-threads style value: a positive integer, no sign,
-/// no trailing junk (0 is rejected -- "run serial" is spelled 1, matching
+/// Validates a --round-threads style value: an integer in
+/// [1, sim::kMaxRoundThreads], no sign, no trailing junk (0 is rejected --
+/// "run serial" is spelled 1, matching
 /// sim::EngineConfig::with_round_threads).  On success fills `out` and returns
 /// ""; otherwise returns a message naming the offending value.  Shared by
 /// dglab and dgcampaign so the two CLIs reject identically.

@@ -45,10 +45,10 @@ std::vector<ProcessId> assign_ids(std::size_t n, std::uint64_t seed) {
 
 // ---------------------------------------------------------------------------
 // The core stage set.  Each stage is a thin adapter from the RoundStage
-// contract onto the engine's slabs and fan-out lists; the bodies are the
-// phase bodies of the former monolithic round loops, split along the
-// prologue/run/run_block/replay/epilogue seams so one driver serves both
-// dispatches with the exact same event order (see sim/stage.h).
+// contract onto the engine's slabs and fan-out lists.  Each stage has one
+// run() body over a vertex range, and its observer events come from a
+// serial replay() after the body, so the event order is the same at every
+// thread count (see sim/stage.h).
 // ---------------------------------------------------------------------------
 
 struct EngineStages {
@@ -64,8 +64,10 @@ struct EngineStages {
     SlabSet writes() const override {
       return slab_bit(Slab::kCrashedBitmap);
     }
-    bool active(bool) const override { return e_.fault_plan_ != nullptr; }
-    void run(RoundState& rs) override { e_.apply_faults(rs.round); }
+    bool active() const override { return e_.fault_plan_ != nullptr; }
+    void run(RoundState& rs, graph::Vertex, graph::Vertex) override {
+      e_.apply_faults(rs.round);
+    }
 
    private:
     Engine& e_;
@@ -88,17 +90,7 @@ struct EngineStages {
     }
     bool vertex_disjoint_writes() const override { return true; }
     void prologue(RoundState&) override { e_.transmitting_.clear(); }
-    void run(RoundState& rs) override {
-      decide(rs, 0, static_cast<graph::Vertex>(rs.vertex_count),
-             !e_.obs_transmit_.empty());
-    }
-    void run_block(RoundState& rs, graph::Vertex begin,
-                   graph::Vertex end) override {
-      decide(rs, begin, end, /*inline_obs=*/false);
-    }
     void replay(RoundState& rs) override {
-      // Ascending-vertex replay off the bitmap is the exact event stream
-      // the serial dispatch emits inline.
       if (e_.obs_transmit_.empty()) return;
       const Round t = rs.round;
       e_.transmitting_.for_each_set([&](std::size_t v) {
@@ -109,13 +101,12 @@ struct EngineStages {
       });
     }
 
-   private:
     /// Whole 64-vertex words of parked vertices are skipped via
     /// word_silent_until_; a vertex whose promise just expired gets one
     /// batched silent_steps() catch-up before its step.  Crashed vertices
     /// are parked forever, so no explicit crashed_ test.
-    void decide(RoundState& rs, graph::Vertex begin, graph::Vertex end,
-                bool inline_obs) {
+    void run(RoundState& rs, graph::Vertex begin,
+             graph::Vertex end) override {
       const Round t = rs.round;
       const std::size_t wb = begin / 64;
       const std::size_t we = (static_cast<std::size_t>(end) + 63) / 64;
@@ -137,15 +128,11 @@ struct EngineStages {
           DG_ASSERT(packet->sender == e_.processes_[v]->id());
           e_.outgoing_slab_[v] = *std::move(packet);
           e_.transmitting_.set(v);
-          if (inline_obs) {
-            for (Observer* obs : e_.obs_transmit_) {
-              obs->on_transmit(t, v, e_.outgoing_slab_[v]);
-            }
-          }
         }
       }
     }
 
+   private:
     Engine& e_;
   };
 
@@ -164,7 +151,7 @@ struct EngineStages {
     SlabSet writes() const override {
       return slab_bit(Slab::kActivityMask);
     }
-    void run(RoundState& rs) override {
+    void run(RoundState& rs, graph::Vertex, graph::Vertex) override {
       auto fwords = e_.frontier_.words();
       if (!e_.sparse_enabled_ || e_.splice_reads_heard_) {
         e_.frontier_.set_all();
@@ -206,33 +193,16 @@ struct EngineStages {
     Engine& e_;
   };
 
-  /// "prepare_round": the channel's serial staging of everything
-  /// transmit-set-dependent before the parallel reception fill.  Sharded
-  /// rounds only; the serial channel call fuses prepare into compute.
-  class ScheduleStage final : public RoundStage {
-   public:
-    explicit ScheduleStage(Engine& e) : e_(e) {}
-    std::string name() const override { return "prepare_round"; }
-    SlabSet reads() const override {
-      return slab_bit(Slab::kTransmitBitmap);
-    }
-    SlabSet writes() const override { return 0; }
-    bool active(bool sharded) const override { return sharded; }
-    void run(RoundState& rs) override {
-      e_.channel_->prepare_round(rs.round, e_.transmitting_);
-    }
-
-   private:
-    Engine& e_;
-  };
-
   /// "compute": reception physics, delegated to the channel model.  Zeroes
   /// and fills the packed heard words of frontier words only -- entries
   /// outside them are stale by contract and never read (every reader is
-  /// frontier-gated).  The logical-metrics pass over the frozen verdicts
-  /// runs in after_phase (outside the timing bracket, and before any
-  /// spliced stage anchored behind this one -- counters tally channel
-  /// verdicts, not post-splice deliveries).
+  /// frontier-gated).  A serial round takes the channel's one-call scatter
+  /// (compute_round); a sharded round stages the transmit set once in the
+  /// prologue (prepare_round) and gathers per block (compute_shard).  The
+  /// logical-metrics pass over the frozen verdicts runs in after_phase
+  /// (outside the timing bracket, and before any spliced stage anchored
+  /// behind this one -- counters tally channel verdicts, not post-splice
+  /// deliveries).
   class ChannelStage final : public RoundStage {
    public:
     explicit ChannelStage(Engine& e) : e_(e) {}
@@ -244,20 +214,24 @@ struct EngineStages {
       return slab_bit(Slab::kHeardWords);
     }
     bool vertex_disjoint_writes() const override { return true; }
-    void run(RoundState& rs) override {
-      const std::size_t n = e_.heard_.size();
-      for (std::size_t w : e_.active_words_) {
-        const std::size_t lo = w * 64;
-        std::fill(e_.heard_.begin() + static_cast<std::ptrdiff_t>(lo),
-                  e_.heard_.begin() +
-                      static_cast<std::ptrdiff_t>(std::min(lo + 64, n)),
-                  0U);
-      }
-      e_.channel_->compute_round(rs.round, e_.transmitting_, e_.heard_,
-                                 e_.frontier_);
+    void prologue(RoundState& rs) override {
+      if (rs.sharded) e_.channel_->prepare_round(rs.round, e_.transmitting_);
     }
-    void run_block(RoundState& rs, graph::Vertex begin,
-                   graph::Vertex end) override {
+    void run(RoundState& rs, graph::Vertex begin,
+             graph::Vertex end) override {
+      if (!rs.sharded) {
+        const std::size_t n = e_.heard_.size();
+        for (std::size_t w : e_.active_words_) {
+          const std::size_t lo = w * 64;
+          std::fill(e_.heard_.begin() + static_cast<std::ptrdiff_t>(lo),
+                    e_.heard_.begin() +
+                        static_cast<std::ptrdiff_t>(std::min(lo + 64, n)),
+                    0U);
+        }
+        e_.channel_->compute_round(rs.round, e_.transmitting_, e_.heard_,
+                                   e_.frontier_);
+        return;
+      }
       // O(1) idle-block early-out, then zero + compute over maximal runs
       // of frontier words inside the block (blocks own whole words).
       if (e_.block_active_[begin / rs.block_size] == 0) return;
@@ -303,36 +277,91 @@ struct EngineStages {
       return slab_bit(Slab::kRngStreams);
     }
     bool vertex_disjoint_writes() const override { return true; }
-    void run(RoundState& rs) override {
-      deliver(rs, 0, static_cast<graph::Vertex>(rs.vertex_count),
-              /*inline_obs=*/true);
-    }
-    void run_block(RoundState& rs, graph::Vertex begin,
-                   graph::Vertex end) override {
-      deliver(rs, begin, end, /*inline_obs=*/false);
-    }
-    void replay(RoundState& rs) override {
-      // Replays the reception observers serially from the frozen heard
-      // words: same verdicts, ascending vertex order, exactly the serial
-      // dispatch's stream.  heard_ is read through the frontier filter --
-      // entries outside frontier words are stale and stand for silence.
-      if (e_.obs_receive_.empty() && e_.obs_silence_.empty()) return;
+    /// Frontier words get the verdict loop (waking parked vertices on
+    /// deliveries), which also records the word's verdicts for replay().
+    /// Every listener in a non-frontier word heard nothing: its (stale)
+    /// heard word is never read, live vertices get the null reception, and
+    /// the word is skipped outright while all its vertices are parked.
+    void run(RoundState& rs, graph::Vertex begin,
+             graph::Vertex end) override {
       const Round t = rs.round;
-      const auto n = static_cast<graph::Vertex>(rs.vertex_count);
       const auto fwords = e_.frontier_.words();
-      for (graph::Vertex u = 0; u < n; ++u) {
-        if (e_.transmitting_.test(u)) continue;
-        if (rs.faults && e_.crashed_.test(u)) continue;
-        const std::uint64_t h = fwords[u >> 6] != 0 ? e_.heard_[u] : 0;
-        const auto count = static_cast<std::uint32_t>(h);
-        if (count == 1 && !masked(u)) {
-          const auto from = static_cast<graph::Vertex>(h >> 32);
-          for (Observer* obs : e_.obs_receive_) {
-            obs->on_receive(t, u, from, e_.outgoing_slab_[from]);
+      const std::size_t wb = begin / 64;
+      const std::size_t we = (static_cast<std::size_t>(end) + 63) / 64;
+      for (std::size_t w = wb; w < we; ++w) {
+        const bool frontier = fwords[w] != 0;
+        if (!frontier && e_.word_silent_until_[w] >= t) continue;
+        const auto lo = static_cast<graph::Vertex>(w * 64);
+        const auto hi = std::min(static_cast<graph::Vertex>(lo + 64), end);
+        std::uint64_t one = 0;
+        std::uint64_t many = 0;
+        for (graph::Vertex u = lo; u < hi; ++u) {
+          if (e_.transmitting_.test(u)) continue;  // transmitters don't listen
+          if (rs.faults && e_.crashed_.test(u)) continue;
+          const std::uint64_t h = frontier ? e_.heard_[u] : 0;
+          const auto count = static_cast<std::uint32_t>(h);
+          const std::uint64_t bit = std::uint64_t{1} << (u - lo);
+          if (count == 1 && !masked(u)) {
+            one |= bit;
+            if (e_.silent_until_[u] >= t) wake(u, t);
+            const Packet& packet = e_.outgoing_slab_[h >> 32];
+            RoundContext ctx(t, e_.rngs_[u]);
+            e_.processes_[u]->receive(packet, ctx);
+          } else {
+            if (count > 1) many |= bit;
+            if (e_.silent_until_[u] >= t) continue;  // promised no-op
+            RoundContext ctx(t, e_.rngs_[u]);
+            e_.processes_[u]->receive(std::nullopt, ctx);
           }
-        } else {
-          for (Observer* obs : e_.obs_silence_) {
-            obs->on_silence(t, u, /*collision=*/count > 1);
+        }
+        // Blocks own whole words, so these stores never race.
+        e_.delivered_.words()[w] = one;
+        e_.collided_.words()[w] = many;
+      }
+    }
+    /// Replays the reception observers word by word, in ascending vertex
+    /// order, from the verdicts run() recorded for frontier words: only
+    /// the vertices some observer wants are visited, so receive- and
+    /// collision-only observers cost O(n/64 + events).  Every live
+    /// listener outside the frontier heard plain silence, so those words
+    /// are visited only when a plain-silence observer exists.
+    void replay(RoundState& rs) override {
+      const bool plain = !e_.obs_silence_.empty();
+      const bool collisions = !e_.obs_collision_.empty();
+      if (!plain && !collisions && e_.obs_receive_.empty()) return;
+      const Round t = rs.round;
+      const auto fwords = e_.frontier_.words();
+      const auto twords = e_.transmitting_.words();
+      const auto cwords = e_.crashed_.words();
+      const auto one_words = e_.delivered_.words();
+      const auto many_words = e_.collided_.words();
+      for (std::size_t w = 0; w < fwords.size(); ++w) {
+        const bool frontier = fwords[w] != 0;
+        if (!frontier && !plain) continue;
+        const std::uint64_t one = frontier ? one_words[w] : 0;
+        const std::uint64_t many = frontier ? many_words[w] : 0;
+        std::uint64_t visit = one;
+        if (collisions) visit |= many;
+        if (plain) {
+          std::uint64_t live = e_.transmitting_.word_mask(w) & ~twords[w];
+          if (rs.faults) live &= ~cwords[w];
+          visit |= live & ~(one | many);
+        }
+        for (; visit != 0; visit &= visit - 1) {
+          const int b = std::countr_zero(visit);
+          const auto u = static_cast<graph::Vertex>(w * 64 + b);
+          const std::uint64_t bit = std::uint64_t{1} << b;
+          if ((one & bit) != 0) {
+            const auto from = static_cast<graph::Vertex>(e_.heard_[u] >> 32);
+            for (Observer* obs : e_.obs_receive_) {
+              obs->on_receive(t, u, from, e_.outgoing_slab_[from]);
+            }
+            continue;
+          }
+          const bool collision = (many & bit) != 0;
+          for (Observer* obs :
+               collision ? e_.obs_collision_ : e_.obs_silence_) {
+            obs->on_silence(t, u, collision);
           }
         }
       }
@@ -361,57 +390,8 @@ struct EngineStages {
       e_.last_stepped_[u] = t;
       e_.silent_until_[u] = t - 1;
       const std::size_t w = u >> 6;
-      // run_block owns whole words, so this write never races.
+      // Blocks own whole words, so this write never races.
       if (e_.word_silent_until_[w] > t - 1) e_.word_silent_until_[w] = t - 1;
-    }
-
-    /// Frontier words get the verdict loop (waking parked vertices on
-    /// deliveries).  Every listener in a non-frontier word heard nothing:
-    /// its (stale) heard word is never read, live vertices get the null
-    /// reception, and the word is skipped outright while all its vertices
-    /// are parked -- unless silence observers need its events, which are
-    /// emitted in ascending vertex order either way.
-    void deliver(RoundState& rs, graph::Vertex begin, graph::Vertex end,
-                 bool inline_obs) {
-      const Round t = rs.round;
-      const bool obs_rx = inline_obs && !e_.obs_receive_.empty();
-      const bool obs_sil = inline_obs && !e_.obs_silence_.empty();
-      const auto fwords = e_.frontier_.words();
-      const std::size_t wb = begin / 64;
-      const std::size_t we = (static_cast<std::size_t>(end) + 63) / 64;
-      for (std::size_t w = wb; w < we; ++w) {
-        const bool frontier = fwords[w] != 0;
-        if (!frontier && !obs_sil && e_.word_silent_until_[w] >= t) continue;
-        const auto lo = static_cast<graph::Vertex>(w * 64);
-        const auto hi = std::min(static_cast<graph::Vertex>(lo + 64), end);
-        for (graph::Vertex u = lo; u < hi; ++u) {
-          if (e_.transmitting_.test(u)) continue;  // transmitters don't listen
-          if (rs.faults && e_.crashed_.test(u)) continue;
-          const std::uint64_t h = frontier ? e_.heard_[u] : 0;
-          const auto count = static_cast<std::uint32_t>(h);
-          if (count == 1 && !masked(u)) {
-            if (e_.silent_until_[u] >= t) wake(u, t);
-            const auto from = static_cast<graph::Vertex>(h >> 32);
-            const Packet& packet = e_.outgoing_slab_[from];
-            if (obs_rx) {
-              for (Observer* obs : e_.obs_receive_) {
-                obs->on_receive(t, u, from, packet);
-              }
-            }
-            RoundContext ctx(t, e_.rngs_[u]);
-            e_.processes_[u]->receive(packet, ctx);
-          } else {
-            if (obs_sil) {
-              for (Observer* obs : e_.obs_silence_) {
-                obs->on_silence(t, u, /*collision=*/count > 1);
-              }
-            }
-            if (e_.silent_until_[u] >= t) continue;  // promised no-op
-            RoundContext ctx(t, e_.rngs_[u]);
-            e_.processes_[u]->receive(std::nullopt, ctx);
-          }
-        }
-      }
     }
 
     Engine& e_;
@@ -430,24 +410,17 @@ struct EngineStages {
       return slab_bit(Slab::kRngStreams);
     }
     bool vertex_disjoint_writes() const override { return true; }
-    void run(RoundState& rs) override {
-      flush(rs, 0, static_cast<graph::Vertex>(rs.vertex_count));
-    }
-    void run_block(RoundState& rs, graph::Vertex begin,
-                   graph::Vertex end) override {
-      flush(rs, begin, end);
-    }
     void epilogue(RoundState& rs) override {
       if (e_.hooks_ != nullptr) e_.hooks_->after_output_phase(rs.round);
     }
 
-   private:
     /// Parked vertices promised a no-op end_round, so whole parked words
     /// are skipped; unless parking is off (the oracle mode), every stepped
     /// vertex is asked for a fresh silent promise (silent_steps(0)), and
     /// the word minimum is recomputed so fully-parked words vanish from
     /// next round's passes.
-    void flush(RoundState& rs, graph::Vertex begin, graph::Vertex end) {
+    void run(RoundState& rs, graph::Vertex begin,
+             graph::Vertex end) override {
       const Round t = rs.round;
       const bool park = e_.sparse_enabled_;
       const std::size_t wb = begin / 64;
@@ -474,17 +447,17 @@ struct EngineStages {
       }
     }
 
+   private:
     Engine& e_;
   };
 
   explicit EngineStages(Engine& e)
-      : fault(e), transmit(e), frontier(e), schedule(e), channel(e),
-        receive(e), output(e) {}
+      : fault(e), transmit(e), frontier(e), channel(e), receive(e),
+        output(e) {}
 
   FaultStage fault;
   TransmitStage transmit;
   FrontierStage frontier;
-  ScheduleStage schedule;
   ChannelStage channel;
   ReceiveStage receive;
   OutputFlushStage output;
@@ -532,6 +505,8 @@ void Engine::init(std::uint64_t master_seed) {
   heard_.resize(processes_.size());
   crashed_.resize(processes_.size());
   delivery_mask_.resize(processes_.size());
+  delivered_.resize(processes_.size());
+  collided_.resize(processes_.size());
 
   all_shard_safe_ =
       std::all_of(processes_.begin(), processes_.end(),
@@ -551,7 +526,6 @@ void Engine::init(std::uint64_t master_seed) {
   pipeline_.append(&stages_->fault);
   pipeline_.append(&stages_->transmit, /*round_begin_before=*/true);
   pipeline_.append(&stages_->frontier);
-  pipeline_.append(&stages_->schedule);
   pipeline_.append(&stages_->channel);
   pipeline_.append(&stages_->receive);
   pipeline_.append(&stages_->output);
@@ -562,7 +536,7 @@ std::size_t Engine::default_round_threads() {
   if (env == nullptr || *env == '\0') return 1;
   if (std::string_view(env) == "max") {
     const unsigned hw = std::thread::hardware_concurrency();
-    return hw == 0 ? 1 : hw;
+    return std::clamp<std::size_t>(hw, 1, kMaxRoundThreads);
   }
   // Digits only: strtoull would accept a sign or leading whitespace and
   // turn "-1" into 2^64-1 threads.
@@ -570,7 +544,8 @@ std::size_t Engine::default_round_threads() {
   std::size_t parsed = 0;
   const auto [ptr, ec] =
       std::from_chars(text.data(), text.data() + text.size(), parsed);
-  if (ec != std::errc() || ptr != text.data() + text.size() || parsed == 0) {
+  if (ec != std::errc() || ptr != text.data() + text.size() || parsed == 0 ||
+      parsed > kMaxRoundThreads) {
     return 1;
   }
   return parsed;
@@ -627,13 +602,8 @@ std::string Engine::splice_stage(const SpliceSpec& spec) {
 }
 
 void Engine::apply_round_threads(std::size_t threads) {
-  DG_EXPECTS(threads >= 1);
+  DG_EXPECTS(threads >= 1 && threads <= kMaxRoundThreads);
   round_threads_ = threads;
-  // Re-poll consent: a wrapper may have reconfigured its listener fan-out
-  // (e.g. LbSimulation's buffered mode) since init(), changing the answer.
-  all_shard_safe_ =
-      std::all_of(processes_.begin(), processes_.end(),
-                  [](const auto& p) { return p->shard_safe(); });
 }
 
 std::size_t Engine::shard_block_size() const {
@@ -650,6 +620,9 @@ void Engine::add_observer(Observer* observer) {
   if (mask & Observer::kTransmit) obs_transmit_.push_back(observer);
   if (mask & Observer::kReceive) obs_receive_.push_back(observer);
   if (mask & Observer::kSilence) obs_silence_.push_back(observer);
+  if (mask & (Observer::kSilence | Observer::kCollision)) {
+    obs_collision_.push_back(observer);
+  }
   if (mask & Observer::kRoundEnd) obs_round_end_.push_back(observer);
   if (mask & Observer::kFault) obs_fault_.push_back(observer);
 }
@@ -894,25 +867,25 @@ void Engine::run_pipeline(bool sharded, std::size_t block_size,
       }
     }
     RoundStage& stage = *slot.stage;
-    if (!stage.active(sharded)) continue;
+    if (!stage.active()) continue;
     // Dispatch by declaration: a stage whose writes are vertex-disjoint
-    // runs block-parallel in sharded rounds (blocks write disjoint state,
-    // so determinism is structural); everything else runs serial.
-    const bool parallel = sharded && stage.vertex_disjoint_writes();
+    // runs its body per block in sharded rounds (blocks write disjoint
+    // state, so determinism is structural); every other call covers the
+    // whole vertex range.  The serial replay runs in every round.
     {
       obs::ScopedPhase phase(profiler_.get(), slot.profile_slot);
       stage.prologue(rs);
-      if (parallel) {
+      if (sharded && stage.vertex_disjoint_writes()) {
         pooled([&](std::size_t b) {
           const auto begin = static_cast<graph::Vertex>(b * block_size);
           const auto end = static_cast<graph::Vertex>(
               std::min(b * block_size + block_size, processes_.size()));
-          stage.run_block(rs, begin, end);
+          stage.run(rs, begin, end);
         });
-        stage.replay(rs);
       } else {
-        stage.run(rs);
+        stage.run(rs, 0, static_cast<graph::Vertex>(processes_.size()));
       }
+      stage.replay(rs);
       stage.epilogue(rs);
     }
     stage.after_phase(rs);

@@ -28,14 +28,14 @@
 // and the channel is shardable(), run_round() partitions the vertices into
 // cache-aligned blocks (multiples of 64 vertices, so each block owns whole
 // transmit-bitmap words) and runs the transmit, reception and output phases
-// block-parallel on a persistent thread pool.  Determinism is preserved
-// structurally, not by scheduling: blocks write disjoint per-vertex state,
-// each vertex draws only from its own rng stream, the channel's sharded
-// reception writes only its own receiver range, and observers are fanned
-// out *serially* between the phases in ascending vertex order -- the exact
-// event stream of the serial dispatch.  Golden digests and campaign counters
-// are therefore byte-identical at any thread count
-// (tests/engine_shard_test.cpp sweeps the contract).
+// block-parallel on a persistent thread pool.  A serial round is the same
+// dispatch with one block, [0, n).  Determinism is preserved structurally,
+// not by scheduling: blocks write disjoint per-vertex state, each vertex
+// draws only from its own rng stream, the channel's sharded reception
+// writes only its own receiver range, and observers are fanned out
+// *serially* after each stage's bodies, in ascending vertex order, in every
+// round.  Golden digests and campaign counters are therefore byte-identical
+// at any thread count (tests/engine_shard_test.cpp sweeps the contract).
 // Fault injection: an installed fault::FaultPlan is consulted serially at
 // the top of every round, before any parallel phase starts.
 // Crashed vertices are skipped in the transmit, reception and output
@@ -43,15 +43,16 @@
 // a fault schedule stays byte-identical across round_threads too.
 //
 // Round pipeline: internally the round is an explicit stage pipeline
-// (fault -> transmit -> frontier -> prepare_round -> compute -> receive ->
-// output_flush; see sim/stage.h for the stage contract and
-// docs/PIPELINE.md for the slab catalog).  One driver, run_pipeline(),
-// serves both dispatches: a stage declaring vertex_disjoint_writes() runs
-// block-parallel in sharded rounds, everything else serial, and the
-// serial-replay / RoundHooks checkpoints are stage hooks.  Each stage has
-// one body, written over the round's activity mask (the frontier): a
-// round that needs every vertex -- the oracle mode, or a splice reading
-// heard_words -- runs the same body under an all-ones mask.  Scenario
+// (fault -> transmit -> frontier -> compute -> receive -> output_flush; see
+// sim/stage.h for the stage contract and docs/PIPELINE.md for the slab
+// catalog).  One driver, run_pipeline(), and one dispatch: each stage has
+// one run() body over a vertex range, called per block in sharded rounds
+// when the stage declares vertex_disjoint_writes() and once over [0, n)
+// otherwise, and the serial replay / RoundHooks checkpoints are stage hooks
+// that run in every round.  Each body is written over the round's activity
+// mask (the frontier): a round that needs every vertex -- the oracle mode,
+// or a splice reading heard_words -- runs the same body under an all-ones
+// mask.  Scenario
 // splices (sim/splice.h) insert extra stages after their anchor without
 // engine edits; their write sets are validated against the core stages'
 // slab ownership first (see splice_stage()).
@@ -86,11 +87,11 @@ namespace dg::sim {
 std::vector<ProcessId> assign_ids(std::size_t n, std::uint64_t seed);
 
 /// Serial checkpoints between the phases of a round, fired on the engine's
-/// calling thread in both the serial and the sharded round loop.  Protocol
-/// wrappers that buffer per-vertex callbacks during the (possibly parallel)
-/// reception and output phases flush them here, in ascending vertex order,
-/// to reproduce the serial loop's callback stream exactly (see
-/// lb/simulation.h for the LbSimulation fan-out that motivates this).
+/// calling thread in every round.  Protocol wrappers that buffer per-vertex
+/// callbacks during the (possibly parallel) reception and output phases
+/// flush them here, in ascending vertex order, so the callback stream is
+/// the same at every thread count (see lb/simulation.h for the
+/// LbSimulation fan-out that motivates this).
 class RoundHooks {
  public:
   virtual ~RoundHooks() = default;
@@ -177,12 +178,12 @@ class Engine {
   /// frontier (see docs/PIPELINE.md).
   bool sparse_rounds() const noexcept { return sparse_enabled_; }
 
-  /// Round thread cap (>= 1; 1 = serial dispatch), set through
-  /// EngineConfig::with_round_threads.  The engine still runs serial
-  /// whenever the vertex count yields fewer than two blocks, a process is
-  /// not shard_safe() or the channel is not shardable() -- the knob is an
-  /// upper bound, never a semantics switch (results are byte-identical for
-  /// every value).
+  /// Round thread cap (in [1, kMaxRoundThreads]; 1 = serial rounds), set
+  /// through EngineConfig::with_round_threads.  The engine still runs
+  /// serial whenever the vertex count yields fewer than two blocks, a
+  /// process was not shard_safe() at construction or the channel is not
+  /// shardable() -- the knob is an upper bound, never a semantics switch
+  /// (results are byte-identical for every value).
   std::size_t round_threads() const noexcept { return round_threads_; }
 
   /// This round's activity mask (Slab::kActivityMask): the vertices whose
@@ -195,9 +196,8 @@ class Engine {
   const Bitmap& crashed_vertices() const noexcept { return crashed_; }
 
   /// Installs the serial between-phase checkpoints (nullptr to remove).
-  /// The hooks object must outlive the engine and is fired by both
-  /// dispatches, so wrappers can keep buffering enabled regardless of
-  /// which one a given round takes.
+  /// The hooks object must outlive the engine and is fired in every round,
+  /// serial or sharded.
   void set_round_hooks(RoundHooks* hooks) { hooks_ = hooks; }
 
   /// Executes one synchronous round (steps 2-4 of the round structure;
@@ -230,10 +230,10 @@ class Engine {
   /// bitmap words and exclusive heard_ cache lines.
   std::size_t shard_block_size() const;
 
-  /// The one round driver (both dispatches): walks the pipeline slots in
-  /// order, bracketing each active stage with its profiler slot and
-  /// dispatching vertex-disjoint-write stages block-parallel when
-  /// `sharded` (block_size/blocks describe the partition; unused serial).
+  /// The one round driver: walks the pipeline slots in order, bracketing
+  /// each active stage with its profiler slot and running
+  /// vertex-disjoint-write stages per block when `sharded` (block_size /
+  /// blocks describe the partition; unused serial).
   void run_pipeline(bool sharded, std::size_t block_size,
                     std::size_t blocks);
 
@@ -286,6 +286,7 @@ class Engine {
   std::vector<Observer*> obs_transmit_;
   std::vector<Observer*> obs_receive_;
   std::vector<Observer*> obs_silence_;
+  std::vector<Observer*> obs_collision_;  ///< kSilence or kCollision
   std::vector<Observer*> obs_round_end_;
   std::vector<Observer*> obs_fault_;
   Round round_ = 0;
@@ -330,6 +331,11 @@ class Engine {
   /// mask-writing spliced stage, reset by the driver).
   Bitmap delivery_mask_;
   bool deliver_masked_ = false;
+  /// The receive stage's verdicts for its observer replay: bit u = u
+  /// decoded a packet that was delivered / heard a collision this round.
+  /// Written by the receive body for frontier words only; stale elsewhere.
+  Bitmap delivered_;
+  Bitmap collided_;
 
   // ---- frontier dispatch (see docs/PIPELINE.md) ----
   // The frontier stage computes frontier_ (Slab::kActivityMask) each round:

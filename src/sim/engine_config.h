@@ -25,8 +25,14 @@ class TraceSink;
 
 namespace dg::sim {
 
+/// Ceiling on the round thread cap, shared by every entry point (the
+/// DG_ROUND_THREADS default, the --round-threads validator and scenario
+/// files): beyond it the engine would spawn a pool the host cannot give it.
+inline constexpr std::size_t kMaxRoundThreads = 256;
+
 struct EngineConfig {
-  /// 0 = leave the engine's current thread cap untouched.
+  /// 0 = leave the engine's current thread cap untouched; otherwise in
+  /// [1, kMaxRoundThreads].
   std::size_t round_threads = 0;
 
   /// Fault plan to install (nullptr clears) -- only applied when

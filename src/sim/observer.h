@@ -6,6 +6,13 @@
 // see ground truth (who transmitted, who received what from whom) that the
 // *processes* themselves cannot see -- exactly the vantage point the paper's
 // proofs take.
+//
+// Event order: fault events first, then on_round_begin, then each stage's
+// events in pipeline order (transmissions, then receptions and silences).
+// A stage's observer events follow all of that stage's process calls and
+// arrive in ascending vertex order, whatever the round's thread count: an
+// observer may read process state, but it sees the state after the whole
+// stage, not after the one vertex it is told about.
 #pragma once
 
 #include "graph/dual_graph.h"
@@ -19,6 +26,10 @@ class Observer {
   /// Event-interest bits.  The engine partitions observers per event at
   /// registration time, so an observer that only watches receptions never
   /// costs a virtual call on the (far more frequent) silences.
+  /// kCollision delivers on_silence only for collisions (collision ==
+  /// true): an observer that drops plain silences anyway should ask for it
+  /// instead of kSilence, which lets the engine skip the silent bulk of
+  /// the network.  kSilence implies it.
   enum : unsigned {
     kRoundBegin = 1u << 0,
     kTransmit = 1u << 1,
@@ -26,7 +37,8 @@ class Observer {
     kSilence = 1u << 3,
     kRoundEnd = 1u << 4,
     kFault = 1u << 5,
-    kAllEvents = (1u << 6) - 1,
+    kCollision = 1u << 6,
+    kAllEvents = (1u << 7) - 1,
   };
 
   virtual ~Observer() = default;
@@ -58,7 +70,8 @@ class Observer {
 
   /// Listening vertex u heard nothing in `round`.  `collision` is true when
   /// two or more of u's round-neighbors transmitted (information available
-  /// to the analysis but *not* to u: no collision detection).
+  /// to the analysis but *not* to u: no collision detection).  Needs
+  /// kSilence, or kCollision for the collision == true calls only.
   virtual void on_silence(Round round, graph::Vertex u, bool collision) {
     (void)round;
     (void)u;

@@ -103,8 +103,9 @@ class Process {
   /// vertices' steps concurrently within a phase.  Processes whose callbacks
   /// fan out into shared protocol state (spec checkers, traffic ledgers)
   /// must return false unless that fan-out is concurrency-safe -- the
-  /// engine silently falls back to the serial round loop when any process
-  /// declines, so the conservative default costs correctness nothing.
+  /// engine silently keeps every round serial when any process declines,
+  /// so the conservative default costs correctness nothing.  Read once,
+  /// when the engine is constructed.
   virtual bool shard_safe() const { return false; }
 
  protected:

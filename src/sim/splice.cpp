@@ -51,7 +51,7 @@ class NoopStage final : public RoundStage {
   std::string name() const override { return "noop"; }
   SlabSet reads() const override { return 0; }
   SlabSet writes() const override { return 0; }
-  void run(RoundState&) override {}
+  void run(RoundState&, graph::Vertex, graph::Vertex) override {}
 };
 
 /// Duplicate-suppression cache: per receiver, a ring of the last `window`
@@ -81,22 +81,8 @@ class DedupStage final : public RoundStage {
     rs.delivery_mask->clear();
     *rs.deliver_masked = true;
   }
-  void run(RoundState& rs) override {
-    scan(rs, 0, static_cast<graph::Vertex>(rs.vertex_count));
-  }
-  void run_block(RoundState& rs, graph::Vertex begin,
-                 graph::Vertex end) override {
-    scan(rs, begin, end);
-  }
-  void after_phase(RoundState& rs) override {
-    if (rs.registry != nullptr) {
-      rs.registry->counter("stage.dedup.suppressed", obs::Domain::kLogical) +=
-          rs.delivery_mask->count();
-    }
-  }
-
- private:
-  void scan(RoundState& rs, graph::Vertex begin, graph::Vertex end) {
+  void run(RoundState& rs, graph::Vertex begin,
+           graph::Vertex end) override {
     for (graph::Vertex u = begin; u < end; ++u) {
       if (rs.transmitting->test(u)) continue;
       if (rs.faults && rs.crashed->test(u)) continue;
@@ -119,7 +105,14 @@ class DedupStage final : public RoundStage {
       }
     }
   }
+  void after_phase(RoundState& rs) override {
+    if (rs.registry != nullptr) {
+      rs.registry->counter("stage.dedup.suppressed", obs::Domain::kLogical) +=
+          rs.delivery_mask->count();
+    }
+  }
 
+ private:
   std::size_t window_;
   std::vector<std::uint64_t> keys_;  ///< per-vertex rings, window_ apiece
   std::vector<std::uint32_t> pos_;   ///< per-vertex ring cursor
@@ -140,7 +133,7 @@ class TraceTapStage final : public RoundStage {
   SlabSet reads() const override { return slab_bit(slab_); }
   SlabSet writes() const override { return 0; }
 
-  void run(RoundState& rs) override {
+  void run(RoundState& rs, graph::Vertex, graph::Vertex) override {
     if (rs.registry != nullptr) {
       rs.registry->counter(counter_, obs::Domain::kLogical) += population(rs);
     }

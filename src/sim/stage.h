@@ -2,30 +2,32 @@
 //
 // A stage declares which named slabs (sim/slab.h) it reads and writes and
 // whether its writes are per-vertex-disjoint; the pipeline driver
-// (Engine::run_pipeline) uses the declarations to decide dispatch: a stage
-// with vertex_disjoint_writes() runs block-parallel on the engine's thread
-// pool in sharded rounds, everything else runs serial.  Determinism across
-// round_threads is preserved by the hook split below, not by scheduling:
-// anything order-sensitive (observer fan-out, wrapper checkpoints) lives
-// in the serial hooks.
+// (Engine::run_pipeline) uses the declarations to decide dispatch.  There
+// is one dispatch: every stage's run() body covers a vertex range.  A
+// serial round calls it once over [0, n); a sharded round calls it per
+// 64-aligned block on the engine's thread pool when the stage declares
+// vertex_disjoint_writes(), and once over [0, n) otherwise.  Determinism
+// across round_threads is preserved by the hook split below, not by
+// scheduling: anything order-sensitive (observer fan-out, wrapper
+// checkpoints) lives in the serial hooks, which run in every round.
 //
 // Hook order per stage, per round:
-//   prologue()    serial, both dispatches, first inside the profiler
-//                 bracket (slab resets go here)
-//   run()         serial dispatch only: the full phase body, inline
-//                 observer fan-out included
-//   run_block()   sharded dispatch only: the parallel body for one vertex
-//                 block [begin, end); must touch only per-vertex state.
-//                 Core stages write run() and run_block() as one body over
-//                 the round's activity-mask words; a round that needs
-//                 every vertex gets an all-ones mask, not a second body
-//   replay()      sharded dispatch only, serial, after all blocks: replays
-//                 the observer stream in ascending vertex order -- the
-//                 exact events run() would have emitted inline
-//   epilogue()    serial, both dispatches, last inside the bracket
-//                 (RoundHooks checkpoints fire here)
-//   after_phase() serial, both dispatches, outside the profiler bracket
-//                 (logical-metrics passes go here so they are not timed)
+//   prologue()    serial, first inside the profiler bracket (slab resets
+//                 and serial pre-passes go here)
+//   run()         the body for the vertex range [begin, end): the whole
+//                 range in serial rounds and for stages without
+//                 vertex_disjoint_writes(), one block per call otherwise
+//                 (then it must touch only that block's per-vertex state).
+//                 Core stages write it over the round's activity-mask
+//                 words; a round that needs every vertex gets an all-ones
+//                 mask, not a second body.  Emits no observer events
+//   replay()      serial, after every run() call: fans the stage's
+//                 observer events out in ascending vertex order, so a
+//                 stage's events follow all of its process calls
+//   epilogue()    serial, last inside the bracket (RoundHooks checkpoints
+//                 fire here)
+//   after_phase() serial, outside the profiler bracket (logical-metrics
+//                 passes go here so they are not timed)
 //
 // Core stages are friends of the Engine (defined in sim/engine.cpp);
 // spliced stages (sim/splice.h) see only this RoundState view.
@@ -54,7 +56,7 @@ namespace dg::sim {
 struct RoundState {
   std::int64_t round = 0;
   bool faults = false;   ///< a fault plan is installed
-  bool sharded = false;  ///< this round runs the block-parallel dispatch
+  bool sharded = false;  ///< this round runs its run() bodies per block
   std::size_t vertex_count = 0;
   std::size_t block_size = 0;  ///< sharded partition stride (0 when serial)
 
@@ -95,23 +97,13 @@ class RoundStage {
   virtual bool vertex_disjoint_writes() const { return false; }
 
   /// Whether the stage participates this round (e.g. the fault stage only
-  /// runs with a plan installed; prepare_round only in sharded rounds).
-  /// Inactive stages are skipped entirely -- no profiler bracket.
-  virtual bool active(bool sharded) const {
-    (void)sharded;
-    return true;
-  }
+  /// runs with a plan installed).  Inactive stages are skipped entirely --
+  /// no profiler bracket.
+  virtual bool active() const { return true; }
 
   virtual void prologue(RoundState& rs) { (void)rs; }
-  virtual void run(RoundState& rs) = 0;
-  virtual void run_block(RoundState& rs, graph::Vertex begin,
-                         graph::Vertex end) {
-    // Default for serial-only stages: never called (the driver dispatches
-    // run() when vertex_disjoint_writes() is false).
-    (void)rs;
-    (void)begin;
-    (void)end;
-  }
+  virtual void run(RoundState& rs, graph::Vertex begin,
+                   graph::Vertex end) = 0;
   virtual void replay(RoundState& rs) { (void)rs; }
   virtual void epilogue(RoundState& rs) { (void)rs; }
   virtual void after_phase(RoundState& rs) { (void)rs; }

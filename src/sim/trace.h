@@ -47,7 +47,7 @@ class TraceRecorder final : public Observer {
   void enable_fault_events(bool on) { fault_events_ = on; }
 
   unsigned interest() const override {
-    return kTransmit | kReceive | kSilence |
+    return kTransmit | kReceive | kCollision |
            (round_markers_ ? (kRoundBegin | kRoundEnd) : 0u) |
            (fault_events_ ? kFault : 0u);
   }

@@ -63,7 +63,7 @@ class ContentReceptionProbe final : public sim::Observer {
 class TrafficProbe final : public sim::Observer {
  public:
   unsigned interest() const override {
-    return kTransmit | kReceive | kSilence;
+    return kTransmit | kReceive | kCollision;
   }
   void on_transmit(sim::Round, graph::Vertex, const sim::Packet&) override {
     ++transmissions_;

@@ -21,6 +21,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "fault/spec.h"
@@ -46,6 +47,8 @@ const std::size_t kThreadCounts[] = {1, 2, 3, 8};
 class StreamObserver final : public Observer {
  public:
   const std::vector<std::string>& events() const noexcept { return events_; }
+  /// Interleaves a non-observer event (e.g. an LB service output).
+  void append(std::string line) { events_.push_back(std::move(line)); }
 
   void on_round_begin(Round round) override {
     line() << "begin " << round;
@@ -746,13 +749,37 @@ TEST(EngineSparseDifferential, SplicesOnParkedSeedProcesses) {
   }
 }
 
+/// Appends the service outputs LbSimulation hands its extra listener to
+/// the observer stream, so one event vector pins their order relative to
+/// the engine's observer events.
+class OutputRecorder final : public lb::LbListener {
+ public:
+  explicit OutputRecorder(StreamObserver& stream) : stream_(&stream) {}
+  void on_ack(graph::Vertex v, const MessageId& m, Round round) override {
+    stream_->append("ack " + std::to_string(round) + ' ' + std::to_string(v) +
+                    ' ' + std::to_string(m.origin) + ' ' +
+                    std::to_string(m.seq));
+  }
+  void on_recv(graph::Vertex v, const MessageId& m, std::uint64_t content,
+               Round round) override {
+    stream_->append("recv " + std::to_string(round) + ' ' +
+                    std::to_string(v) + ' ' + std::to_string(m.origin) + ' ' +
+                    std::to_string(m.seq) + ' ' + std::to_string(content));
+  }
+
+ private:
+  StreamObserver* stream_;
+};
+
 /// The LB stack over a 10x10 grid with poisson traffic, optionally a fault
-/// plan, and the given splices.  `probe` (optional) sees the engine after
-/// every round.
+/// plan, and the given splices, run for `phases` phases.  The events
+/// include the extra listener's recv/ack calls.  `probe` (optional) sees
+/// the engine after every round.
 SplicedResult run_lb_spliced(const std::vector<std::string>& splices,
                              bool faults, std::size_t threads, bool sparse,
                              const std::function<void(const Engine&)>& probe =
-                                 nullptr) {
+                                 nullptr,
+                             std::int64_t phases = 2) {
   const auto g = graph::grid(10, 10, 1.0, 1.5);
   lb::LbScales scales;
   scales.ack_scale = 0.02;
@@ -775,9 +802,11 @@ SplicedResult run_lb_spliced(const std::vector<std::string>& splices,
   sim.configure(config);
   StreamObserver stream;
   sim.add_observer(&stream);
+  OutputRecorder outputs(stream);
+  sim.set_extra_listener(&outputs);
   sim.add_traffic(traffic::build_source(tspec, g.size(),
                                         derive_seed(2031, 0x7fcULL)));
-  const Round rounds = 2 * sim.params().phase_length();
+  const Round rounds = phases * sim.params().phase_length();
   for (Round i = 0; i < rounds; ++i) {
     sim.run_round();
     if (probe) probe(sim.engine());
@@ -853,6 +882,14 @@ TEST(EngineShardProperty, DefaultRoundThreadsAcceptsDigitsOnly) {
   EXPECT_EQ(threads_for("2 "), 1u);
   EXPECT_EQ(threads_for("0"), 1u);
   EXPECT_EQ(threads_for("99999999999999999999999"), 1u);
+  // Past the shared ceiling: once saturated by strtoull into a wrapped
+  // block-size divisor (SIGFPE), or a pool the host cannot spawn.
+  EXPECT_EQ(threads_for("99999999999999999999"), 1u);
+  EXPECT_EQ(threads_for("100000"), 1u);
+  EXPECT_EQ(threads_for(std::to_string(kMaxRoundThreads + 1).c_str()), 1u);
+  EXPECT_EQ(threads_for(std::to_string(kMaxRoundThreads).c_str()),
+            kMaxRoundThreads);
+  EXPECT_LE(threads_for("max"), kMaxRoundThreads);
   EXPECT_EQ(threads_for("3"), 3u);
   if (saved != nullptr) {
     setenv("DG_ROUND_THREADS", restore.c_str(), /*overwrite=*/1);
@@ -895,6 +932,207 @@ TEST(EngineShardProperty, NonConsentingProcessForcesSerial) {
   const auto serial = run(1);
   const auto capped = run(8);
   ASSERT_EQ(serial, capped);
+}
+
+// ---- one dispatch: a serial round is the one-block case ----
+//
+// Every round runs each stage's body first and its observer replay after,
+// so the observer-visible contract no longer depends on whether a round
+// was sharded.
+
+TEST(EngineDispatchContract, StageObserversFollowEveryProcessCall) {
+  // A process without shard consent keeps every round serial at any cap.
+  // Its observers must still see the stage's process calls complete: the
+  // first transmit event of a round finds every vertex's transmit() done,
+  // and the first reception event every listener's receive().
+  struct Calls {
+    std::uint64_t transmit = 0;
+    std::uint64_t receive = 0;
+  };
+  class CountingProcess final : public Process {
+   public:
+    CountingProcess(ProcessId id, Calls& calls) : Process(id), calls_(&calls) {}
+    std::optional<Packet> transmit(RoundContext& ctx) override {
+      ++calls_->transmit;
+      if (!ctx.rng().chance(0.3)) return std::nullopt;
+      return Packet{id(), DataPayload{MessageId{id(), ++seq_}, 1ULL}};
+    }
+    void receive(const std::optional<Packet>&, RoundContext&) override {
+      ++calls_->receive;
+    }
+
+   private:
+    Calls* calls_;
+    std::uint32_t seq_ = 0;
+  };
+  class CompletenessObserver final : public Observer {
+   public:
+    CompletenessObserver(const Calls& calls, std::size_t n)
+        : calls_(&calls), n_(n) {}
+    unsigned interest() const override {
+      return kRoundBegin | kTransmit | kReceive | kSilence;
+    }
+    void on_round_begin(Round) override {
+      tx_before_ = calls_->transmit;
+      rx_before_ = calls_->receive;
+      transmitters_ = 0;
+      first_tx_ = first_rx_ = true;
+    }
+    void on_transmit(Round round, graph::Vertex, const Packet&) override {
+      ++transmitters_;
+      if (!std::exchange(first_tx_, false)) return;
+      ++checked_tx;
+      EXPECT_EQ(calls_->transmit - tx_before_, n_) << "round " << round;
+    }
+    void on_receive(Round round, graph::Vertex, graph::Vertex,
+                    const Packet&) override {
+      check_rx(round);
+    }
+    void on_silence(Round round, graph::Vertex, bool) override {
+      check_rx(round);
+    }
+
+    std::size_t checked_tx = 0;
+    std::size_t checked_rx = 0;
+
+   private:
+    void check_rx(Round round) {
+      if (!std::exchange(first_rx_, false)) return;
+      ++checked_rx;
+      EXPECT_EQ(calls_->receive - rx_before_, n_ - transmitters_)
+          << "round " << round;
+    }
+
+    const Calls* calls_;
+    std::size_t n_;
+    std::uint64_t tx_before_ = 0;
+    std::uint64_t rx_before_ = 0;
+    std::size_t transmitters_ = 0;
+    bool first_tx_ = true;
+    bool first_rx_ = true;
+  };
+
+  const auto g = graph::grid(16, 16, 1.0, 1.5);
+  const Round rounds = 20;
+  for (std::size_t threads : {1, 4}) {
+    Calls calls;
+    const auto ids = assign_ids(g.size(), 5);
+    std::vector<std::unique_ptr<Process>> procs;
+    for (std::size_t v = 0; v < g.size(); ++v) {
+      procs.push_back(std::make_unique<CountingProcess>(ids[v], calls));
+    }
+    BernoulliScheduler sched(0.5);
+    Engine engine(g, sched, std::move(procs), 17);
+    engine.configure(EngineConfig{}.with_round_threads(threads));
+    CompletenessObserver check(calls, g.size());
+    engine.add_observer(&check);
+    engine.run_rounds(rounds);
+    EXPECT_EQ(check.checked_tx, static_cast<std::size_t>(rounds)) << threads;
+    EXPECT_EQ(check.checked_rx, static_cast<std::size_t>(rounds)) << threads;
+  }
+}
+
+TEST(EngineDispatchContract, CollisionInterestIsTheCollisionSubset) {
+  // kCollision delivers exactly the collision == true silences a kSilence
+  // observer sees, and kSilence | kCollision gets each silence once.
+  // Parked seed processes make most words non-frontier, the part of the
+  // network the replay skips for collision-only observers.
+  class SilenceLog final : public Observer {
+   public:
+    explicit SilenceLog(unsigned bits) : bits_(bits) {}
+    unsigned interest() const override { return bits_; }
+    void on_silence(Round round, graph::Vertex u, bool collision) override {
+      events.push_back(std::to_string(round) + ' ' + std::to_string(u) + ' ' +
+                       (collision ? "1" : "0"));
+    }
+    std::vector<std::string> events;
+
+   private:
+    unsigned bits_;
+  };
+  const auto g = graph::grid(12, 12, 1.0, 1.5);
+  const auto seed_params = seed::SeedAlgParams::make(0.1, g.delta());
+  const auto run = [&](std::size_t threads, bool sparse) {
+    const auto ids = assign_ids(g.size(), 7);
+    std::vector<std::unique_ptr<Process>> procs;
+    Rng init(99);
+    for (graph::Vertex v = 0; v < g.size(); ++v) {
+      procs.push_back(
+          std::make_unique<seed::SeedProcess>(seed_params, ids[v], init));
+    }
+    BernoulliScheduler sched(0.5);
+    Engine engine(g, sched, std::move(procs), 1234);
+    engine.configure(EngineConfig{}
+                         .with_round_threads(threads)
+                         .with_sparse_rounds(sparse));
+    SilenceLog silence(Observer::kSilence);
+    SilenceLog collision(Observer::kCollision);
+    SilenceLog both(Observer::kSilence | Observer::kCollision);
+    engine.add_observer(&silence);
+    engine.add_observer(&collision);
+    engine.add_observer(&both);
+    engine.run_rounds(seed_params.total_rounds() + 16);
+    std::vector<std::string> subset;
+    for (const std::string& e : silence.events) {
+      if (e.back() == '1') subset.push_back(e);
+    }
+    EXPECT_FALSE(subset.empty()) << "no collisions; weak fixture";
+    EXPECT_EQ(collision.events, subset) << threads << " threads";
+    EXPECT_EQ(both.events, silence.events) << threads << " threads";
+    return collision.events;
+  };
+  const auto serial = run(1, true);
+  EXPECT_EQ(run(4, true), serial) << "sharded";
+  EXPECT_EQ(run(1, false), serial) << "oracle";
+  EXPECT_EQ(run(4, false), serial) << "sharded oracle";
+}
+
+TEST(EngineDispatchContract, LbExtraListenerSequence) {
+  // LbSimulation's extra listener sees a round's recvs after its receive
+  // phase (after every reception observer event) and its acks after the
+  // output phase, each in ascending vertex order -- the same sequence at
+  // every thread count and in the oracle mode.
+  const auto rank = [](const std::string& kind) {
+    if (kind == "begin") return 0;
+    if (kind == "tx") return 1;
+    if (kind == "rx" || kind == "sil") return 2;
+    if (kind == "recv") return 3;
+    if (kind == "ack") return 4;
+    return 5;  // end
+  };
+  const SplicedResult serial =
+      run_lb_spliced({}, /*faults=*/true, 1, true, nullptr, /*phases=*/8);
+  std::size_t recvs = 0, acks = 0;
+  int last_rank = 5;
+  long last_vertex = -1;
+  for (const std::string& line : serial.events) {
+    std::istringstream in(line);
+    std::string kind;
+    Round round = 0;
+    long vertex = -1;
+    in >> kind >> round >> vertex;
+    const int r = rank(kind);
+    if (r == 0) {
+      ASSERT_EQ(last_rank, 5) << line;
+    } else {
+      ASSERT_GE(r, last_rank) << line;
+    }
+    if (r == last_rank && r != 0 && r != 5) {
+      ASSERT_GT(vertex, last_vertex) << line;
+    }
+    recvs += kind == "recv";
+    acks += kind == "ack";
+    last_rank = r;
+    last_vertex = vertex;
+  }
+  EXPECT_GT(recvs, 0u) << "no recvs; weak fixture";
+  EXPECT_GT(acks, 0u) << "no acks; weak fixture";
+  expect_same(serial,
+              run_lb_spliced({}, /*faults=*/true, 4, true, nullptr, 8),
+              "4 threads");
+  expect_same(serial,
+              run_lb_spliced({}, /*faults=*/true, 1, false, nullptr, 8),
+              "oracle");
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 // part of the contract the CLIs and scenario loader surface to users.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -422,7 +423,8 @@ TEST(EngineSplice, DedupByteIdenticalAcrossThreadCounts) {
 TEST(EngineSplice, DedupSuppressionIsProcessVisible) {
   // Suppressed deliveries arrive as null indicators: total deliveries with
   // the dedup splice must drop below the unspliced run's, by exactly the
-  // suppressed count.
+  // suppressed count.  Observers see the same verdicts as the processes:
+  // one on_receive per process delivery, a suppressed one as a silence.
   const auto g = graph::grid(12, 12, 1.0, 1.5);
   const SplicedRun plain = run_spliced(g, 1, {}, 48, 0xFACE);
   const SplicedRun deduped = run_spliced(g, 1, {"dedup:6"}, 48, 0xFACE);
@@ -432,6 +434,13 @@ TEST(EngineSplice, DedupSuppressionIsProcessVisible) {
   for (const std::uint64_t d : deduped.delivered) dedup_total += d;
   EXPECT_GT(deduped.suppressed, 0u);
   EXPECT_EQ(plain_total, dedup_total + deduped.suppressed);
+  const auto rx_events = [](const SplicedRun& run) {
+    return static_cast<std::uint64_t>(std::count_if(
+        run.events.begin(), run.events.end(),
+        [](const std::string& e) { return e.rfind("rx ", 0) == 0; }));
+  };
+  EXPECT_EQ(rx_events(plain), plain_total);
+  EXPECT_EQ(rx_events(deduped), dedup_total);
 }
 
 TEST(EngineSplice, TapCounterMatchesObserverStream) {

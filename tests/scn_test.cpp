@@ -16,6 +16,7 @@
 #include "scn/json.h"
 #include "scn/scenario.h"
 #include "scn/workload.h"
+#include "sim/engine_config.h"
 #include "sim/scheduler.h"
 #include "util/rng.h"
 
@@ -329,7 +330,13 @@ TEST(ScenarioSchema, RoundThreadsValueValidation) {
   EXPECT_EQ(out, 1u);
   EXPECT_EQ(validate_round_threads_value("8", out), "");
   EXPECT_EQ(out, 8u);
-  for (const char* bad : {"", "0", "-3", "4x", "x", " 2", "+2"}) {
+  const std::string ceiling = std::to_string(sim::kMaxRoundThreads);
+  EXPECT_EQ(validate_round_threads_value(ceiling, out), "");
+  EXPECT_EQ(out, sim::kMaxRoundThreads);
+  // Past the shared ceiling, including a value strtoull saturates.
+  const std::string over = std::to_string(sim::kMaxRoundThreads + 1);
+  for (const char* bad : {"", "0", "-3", "4x", "x", " 2", "+2",
+                          "99999999999999999999", "100000", over.c_str()}) {
     std::size_t ignored = 0;
     EXPECT_NE(validate_round_threads_value(bad, ignored), "") << bad;
   }
@@ -355,6 +362,15 @@ TEST(ScenarioSchema, RoundThreadsKeyParsesAndRejectsZero) {
       "algorithm": {"type": "seed_agreement"},
       "trials": 1, "seed": 7, "round_threads": 0}]})");
   EXPECT_FALSE(zero.ok());
+
+  // Scenario files share the CLIs' ceiling.
+  const auto huge = parse(R"({"campaign": "t", "scenarios": [{"name": "s",
+      "topology": {"type": "clique", "k": 4},
+      "algorithm": {"type": "seed_agreement"},
+      "trials": 1, "seed": 7, "round_threads": 100000}]})");
+  EXPECT_FALSE(huge.ok());
+  EXPECT_NE(huge.error.find("round_threads"), std::string::npos)
+      << huge.error;
 }
 
 TEST(CampaignRunner, FilterAndMaxTrials) {

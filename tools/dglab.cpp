@@ -50,15 +50,21 @@
 //   grid:32x32 | geometric:256 | clique:16 | star:16 | line:16
 //
 // Unknown --flags are rejected (a typo like --schd= must not silently run
-// the default configuration).  When the first argument is a --flag the
-// `run` subcommand is implied: `dglab --topology=grid:8x8 --phases=10`.
+// the default configuration), and so are malformed numeric values: a value
+// that is not a plain number, or lies outside its flag's domain (kDomains:
+// e.g. --eps in (0, 0.5], --r >= 1, --reuse >= 1), exits 2 naming the
+// flag.  When the first argument is a --flag the `run` subcommand is
+// implied: `dglab --topology=grid:8x8 --phases=10`.
 //
 // Example:
 //   dglab run --type=geometric --n=48 --sched=bernoulli:0.5 --phases=40
 #include <algorithm>
+#include <charconv>
 #include <cstdint>
 #include <cstdlib>
+#include <iomanip>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -100,6 +106,34 @@ constexpr const char* kValidFlags[] = {
     "splice",                                                   // pipeline
     "metrics-out", "trace-out", "trace-rounds", "trace-vertices",  // obs
 };
+
+/// Domain of a numeric flag: [lo, hi], or (lo, hi] when lo_open.  Numeric
+/// flags without an entry take any value >= 0.
+struct Domain {
+  const char* flag;
+  double lo;
+  double hi;
+  bool lo_open = false;
+};
+constexpr double kInf = std::numeric_limits<double>::infinity();
+/// The preconditions the builders would otherwise enforce by aborting; the
+/// reuse and phases ceilings keep reuse * T_prog and phases * phase length
+/// inside the round arithmetic's integer range.
+constexpr Domain kDomains[] = {
+    {"n", 1, kInf},          {"cols", 1, kInf},
+    {"rows", 1, kInf},       {"k", 1, kInf},
+    {"side", 0, kInf, true}, {"spacing", 0, kInf, true},
+    {"r", 1, kInf},          {"eps", 0, 0.5, true},
+    {"ack-scale", 0, kInf, true},
+    {"reuse", 1, 65536},     {"phases", 0, 2147483647},
+};
+
+/// Strict non-negative integer parse: digits only, no overflow (strtoull
+/// would wrap "-1", saturate on overflow and accept trailing junk).
+bool parse_uint(const std::string& s, std::uint64_t& out) {
+  const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), out);
+  return !s.empty() && ec == std::errc() && ptr == s.data() + s.size();
+}
 
 class Flags {
  public:
@@ -145,18 +179,57 @@ class Flags {
     const auto it = values_.find(key);
     return it == values_.end() ? dflt : it->second;
   }
+  /// Numeric flags: a present value must be a whole finite number
+  /// (num) or digits only (uint), inside the flag's kDomains entry;
+  /// anything else exits 2 naming the flag, instead of running a default
+  /// or aborting on a precondition later.
   double num(const std::string& key, double dflt) const {
     const auto it = values_.find(key);
-    return it == values_.end() ? dflt : std::strtod(it->second.c_str(), nullptr);
+    if (it == values_.end()) return dflt;
+    double v = 0;
+    if (!spec::parse_num(it->second, v) || !in_domain(key, v)) {
+      reject(key, it->second, "a number");
+    }
+    return v;
   }
   std::uint64_t uint(const std::string& key, std::uint64_t dflt) const {
     const auto it = values_.find(key);
-    return it == values_.end() ? dflt
-                               : std::strtoull(it->second.c_str(), nullptr, 10);
+    if (it == values_.end()) return dflt;
+    std::uint64_t v = 0;
+    if (!parse_uint(it->second, v) ||
+        !in_domain(key, static_cast<double>(v))) {
+      reject(key, it->second, "an integer");
+    }
+    return v;
   }
   bool flag(const std::string& key) const { return values_.contains(key); }
 
  private:
+  static const Domain* domain(const std::string& key) {
+    for (const Domain& d : kDomains) {
+      if (key == d.flag) return &d;
+    }
+    return nullptr;
+  }
+  static bool in_domain(const std::string& key, double v) {
+    const Domain* d = domain(key);
+    if (d == nullptr) return v >= 0;
+    return (d->lo_open ? v > d->lo : v >= d->lo) && v <= d->hi;
+  }
+  [[noreturn]] static void reject(const std::string& key,
+                                  const std::string& value,
+                                  const char* kind) {
+    std::cerr << "dglab: --" << key << " needs " << kind;
+    if (const Domain* d = domain(key)) {
+      std::cerr << std::setprecision(10) << " in " << (d->lo_open ? "(" : "[")
+                << d->lo << ", " << d->hi << (d->hi == kInf ? ")" : "]");
+    } else {
+      std::cerr << " >= 0";
+    }
+    std::cerr << "; got '" << value << "'\n";
+    std::exit(2);
+  }
+
   std::map<std::string, std::string> values_;
   std::vector<std::string> unknown_;
 };
@@ -200,16 +273,6 @@ sim::EngineConfig engine_config_flags(const Flags& flags) {
 }
 
 // ---- builders ----
-
-/// Strict non-negative integer parse for compound specs (strtoull would
-/// silently wrap "-1" and accept trailing junk).
-bool parse_uint(const std::string& s, std::uint64_t& out) {
-  if (s.empty() || s.find_first_not_of("0123456789") != std::string::npos) {
-    return false;
-  }
-  out = std::strtoull(s.c_str(), nullptr, 10);
-  return true;
-}
 
 /// Expands the --topology=family:args alias (grid:32x32, geometric:256,
 /// clique:16, star:16, line:16) directly into a network.  Geometry knobs
@@ -542,15 +605,6 @@ int cmd_run(const Flags& flags) {
                 << g.size() << " in '" << traffic_str << "'\n";
       std::exit(2);
     }
-    // Digits only: strtoull would silently wrap "-1" to ULLONG_MAX (an
-    // unbounded queue) instead of rejecting it.
-    const std::string cap_str = flags.str("traffic-cap", "0");
-    if (cap_str.empty() ||
-        cap_str.find_first_not_of("0123456789") != std::string::npos) {
-      std::cerr << "dglab: --traffic-cap needs a non-negative integer; "
-                   "got '" << cap_str << "'\n";
-      std::exit(2);
-    }
     sim.traffic().set_queue_capacity(
         static_cast<std::size_t>(flags.uint("traffic-cap", 0)));
     sim.add_traffic(
@@ -668,9 +722,19 @@ int cmd_run(const Flags& flags) {
 int cmd_sweep(const Flags& flags) {
   Table table({"Delta", "phase", "progress mean (rounds)",
                "reliability", "progress freq"});
-  for (const std::string& ds : split(flags.str("deltas", "4,8,16,32"), ',')) {
-    const auto clique = static_cast<std::size_t>(
-        std::strtoull(ds.c_str(), nullptr, 10));
+  const std::string deltas = flags.str("deltas", "4,8,16,32");
+  std::vector<std::size_t> cliques;
+  for (const std::string& ds : split(deltas, ',')) {
+    // A clique of one has Delta = 0, which no LBAlg calibration admits.
+    std::uint64_t clique = 0;
+    if (!parse_uint(ds, clique) || clique < 2) {
+      std::cerr << "dglab: --deltas needs comma-separated clique sizes "
+                   ">= 2; got '" << deltas << "'\n";
+      std::exit(2);
+    }
+    cliques.push_back(static_cast<std::size_t>(clique));
+  }
+  for (const std::size_t clique : cliques) {
     const auto g = graph::clique_cluster(clique);
     lb::LbScales scales;
     scales.ack_scale = flags.num("ack-scale", 0.02);
