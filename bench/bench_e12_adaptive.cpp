@@ -62,6 +62,8 @@ double trial(const Config& cfg, std::uint64_t seed) {
 
   lb::LbScales scales;
   scales.ack_scale = 0.05;
+  // Shared by reference by every LbProcess: declared before the engine
+  // that owns them, so it outlives them.
   const auto lb_params =
       lb::LbParams::calibrated(0.1, 1.5, g.delta(), g.delta_prime(), scales);
   baseline::DecayParams decay_params;

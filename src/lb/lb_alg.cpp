@@ -1,5 +1,6 @@
 #include "lb/lb_alg.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/assert.h"
@@ -70,7 +71,11 @@ std::int64_t LbProcess::silent_steps(std::int64_t k) {
     // closed form lands the cursor exactly where k calls of
     // advance_round_position() would have; the promise below never spans a
     // group start or a segment boundary, so no begin_group / promotion /
-    // seed-commit work can fall inside the jump.
+    // seed-commit work can fall inside the jump.  A jump that starts in a
+    // live node's preamble stays in it and moves the SeedAlg cursor too.
+    if (seg_round_ < 0 && !resync_ && preamble_.has_value()) {
+      preamble_->skip(static_cast<int>(k));
+    }
     pos_in_group_ = (pos_in_group_ + k) % group_len_;
     seg_round_ = pos_in_group_ < params_.t_s
                      ? -1
@@ -84,16 +89,24 @@ std::int64_t LbProcess::silent_steps(std::int64_t k) {
   // coins -- until the next group start hands it a fresh preamble.
   if (resync_) return group_len_ - 1 - pos_in_group_;
 
+  // Preamble rounds after the group start do nothing but step the SeedAlg
+  // runner (no promotion, no segment end), so they are silent exactly as
+  // long as the runner is.  The window ends by the last preamble round at
+  // the latest: the first body round commits the seed.
+  if (seg_round_ < 0) {
+    DG_ASSERT(preamble_.has_value());
+    return std::min<std::int64_t>(preamble_->silent_horizon(),
+                                  params_.t_s - 1 - pos_in_group_);
+  }
+
   // Receiving-state body rounds are silent: transmit() returns nullopt
   // without drawing coins, receive() ignores null, and the segment-end ack
   // countdown only runs for senders.  The window ends just before the next
   // segment boundary so a pending bcast posted mid-window is promoted --
   // and the next seed committed -- by a real transmit() call, exactly as
-  // on the dense path.  Preamble and sending-state rounds consume
-  // randomness every round, so they never park.
-  if (seg_round_ < 0 || current_.has_value() || !phase_seed_.has_value()) {
-    return 0;
-  }
+  // on the dense path.  Sending-state rounds consume randomness every
+  // round, so they never park.
+  if (current_.has_value() || !phase_seed_.has_value()) return 0;
   return params_.t_prog - 1 - seg_round_;
 }
 

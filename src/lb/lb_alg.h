@@ -54,8 +54,11 @@ class LbListener {
 class LbProcess final : public sim::Process {
  public:
   /// `vertex` labels outputs; `listener` may be null (outputs dropped).
+  /// The process keeps a reference to `params`, which every process of a
+  /// network shares, so they must outlive it.
   LbProcess(const LbParams& params, sim::ProcessId id, graph::Vertex vertex,
             LbListener* listener);
+  LbProcess(LbParams&&, sim::ProcessId, graph::Vertex, LbListener*) = delete;
 
   // ---- environment-facing API (round step 1: inputs) ----
 
@@ -86,12 +89,15 @@ class LbProcess final : public sim::Process {
                sim::RoundContext& ctx) override;
   void end_round(sim::RoundContext& ctx) override;
 
-  /// Sparse-round consent (sim/process.h).  Two closed-form silent windows:
-  /// receiving-state body rounds (up to the round before the next segment
-  /// boundary, where a pending bcast could be promoted) and the passive
-  /// post-recovery stretch (up to the round before the next group start).
-  /// Preamble and sending-state rounds draw randomness every round and
-  /// never park.
+  /// Sparse-round consent (sim/process.h).  Three closed-form silent
+  /// windows: preamble rounds within the SeedAlg runner's silent horizon
+  /// (listeners up to their next election coin, decided nodes up to the
+  /// last preamble round; the first body round commits the seed and is
+  /// stepped), receiving-state body rounds (up to the round before the
+  /// next segment boundary, where a pending bcast could be promoted) and
+  /// the passive post-recovery stretch (up to the round before the next
+  /// group start).  Leaders and sending-state rounds draw randomness every
+  /// round and never park.
   std::int64_t silent_steps(std::int64_t k) override;
 
   /// Fault seam.  A crash drops all protocol state (the wrapper aborts the
@@ -168,7 +174,7 @@ class LbProcess final : public sim::Process {
                                            std::int64_t body_round);
   void handle_data(const sim::DataPayload& data, sim::Round round);
 
-  LbParams params_;
+  const LbParams& params_;  ///< shared by every process of the network
   graph::Vertex vertex_;
   LbListener* listener_;
 

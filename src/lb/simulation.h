@@ -167,7 +167,7 @@ class LbSimulation {
                const LbParams& params, std::uint64_t master_seed);
 
   const graph::DualGraph* graph_;
-  LbParams params_;
+  LbParams params_;  ///< every LbProcess holds a reference to this one copy
   std::unique_ptr<sim::LinkScheduler> scheduler_;
   std::unique_ptr<phys::ChannelModel> channel_;
   std::vector<sim::ProcessId> ids_;

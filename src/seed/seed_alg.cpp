@@ -1,6 +1,8 @@
 #include "seed/seed_alg.h"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "util/assert.h"
 #include "util/intmath.h"
@@ -76,6 +78,31 @@ void SeedAlgRunner::step_receive(const std::optional<sim::Packet>& packet) {
   maybe_finish();
 }
 
+int SeedAlgRunner::silent_horizon() const noexcept {
+  const int remaining = params_.total_rounds() - step_;
+  switch (status_) {
+    case Status::leader:
+      return 0;
+    case Status::inactive:
+      return remaining;
+    case Status::active:
+      break;
+  }
+  if (round_in_phase_ == 0) return 0;  // the next step flips the election coin
+  if (phase_index_ + 1 < params_.num_phases) {
+    return params_.phase_length - round_in_phase_;
+  }
+  return remaining - 1;  // the final step takes the default decision
+}
+
+void SeedAlgRunner::skip(int k) {
+  DG_EXPECTS(k >= 0 && k <= silent_horizon());
+  step_ += k;
+  round_in_phase_ += k;
+  phase_index_ += round_in_phase_ / params_.phase_length;
+  round_in_phase_ %= params_.phase_length;
+}
+
 void SeedAlgRunner::maybe_finish() {
   if (step_ >= params_.total_rounds() && status_ == Status::active &&
       !decision_.has_value()) {
@@ -104,6 +131,18 @@ std::optional<sim::Packet> SeedProcess::transmit(sim::RoundContext& ctx) {
   listening_this_round_ = !payload.has_value();
   if (!payload.has_value()) return std::nullopt;
   return sim::Packet{id(), *payload};
+}
+
+std::int64_t SeedProcess::silent_steps(std::int64_t k) {
+  if (k > 0 && !runner_.done()) {
+    const std::int64_t remaining =
+        runner_.params().total_rounds() - runner_.steps_taken();
+    runner_.skip(static_cast<int>(std::min(k, remaining)));
+  }
+  if (runner_.done() || runner_.status() == SeedStatus::inactive) {
+    return std::numeric_limits<std::int64_t>::max() / 2;
+  }
+  return runner_.silent_horizon();
 }
 
 void SeedProcess::receive(const std::optional<sim::Packet>& packet,

@@ -16,7 +16,6 @@
 #pragma once
 
 #include <cstdint>
-#include <limits>
 #include <optional>
 
 #include "sim/packet.h"
@@ -59,7 +58,9 @@ struct SeedDecision {
 ///
 /// Drive it with exactly total_rounds() steps; each step is
 /// step_transmit() followed by step_receive() iff step_transmit() returned
-/// nullopt (the engine only delivers to listeners).
+/// nullopt (the engine only delivers to listeners).  A stretch of steps
+/// within silent_horizon() that would hear only nulls may instead be
+/// jumped with skip().
 class SeedAlgRunner {
  public:
   /// Draws the initial seed uniformly from the seed domain using the
@@ -75,6 +76,22 @@ class SeedAlgRunner {
 
   bool done() const noexcept { return step_ >= params_.total_rounds(); }
   int steps_taken() const noexcept { return step_; }
+  /// 0-based phase and round within it of the next step.
+  int phase_index() const noexcept { return phase_index_; }
+  int round_in_phase() const noexcept { return round_in_phase_; }
+
+  /// How many of the next steps draw no randomness, transmit nothing and
+  /// change nothing but the round cursor, provided every reception is null.
+  /// A leader flips a broadcast coin every round (0); an inactive runner is
+  /// silent for all its remaining steps; an active listener is silent up to
+  /// its next phase start, where it flips the election coin -- in the last
+  /// phase up to the final step, whose null reception takes the default
+  /// decision.  O(1).
+  int silent_horizon() const noexcept;
+
+  /// Closed-form jump over k <= silent_horizon() steps: the state k
+  /// step_transmit() / step_receive(nullopt) pairs would have left.
+  void skip(int k);
 
   /// The decision, once made (leaders decide at phase start; listeners on
   /// first reception; everyone by the end of the last phase).
@@ -111,15 +128,12 @@ class SeedProcess final : public sim::Process {
   void receive(const std::optional<sim::Packet>& packet,
                sim::RoundContext& ctx) override;
 
-  /// Sparse-round consent: once the runner is done the process idles
-  /// forever (transmit() always nullopt, no coins, receptions ignored), so
-  /// it promises an effectively unbounded silent horizon.  The catch-up
-  /// side is a no-op -- the done state is absorbing and carries no cursor.
-  std::int64_t silent_steps(std::int64_t k) override {
-    (void)k;
-    if (!runner_.done()) return 0;
-    return std::numeric_limits<std::int64_t>::max() / 2;
-  }
+  /// Sparse-round consent: the runner's silent horizon.  An inactive
+  /// runner ignores every reception and draws nothing until it is done,
+  /// after which the process idles forever, so inactive and done runners
+  /// both promise an effectively unbounded horizon.  The catch-up jumps the
+  /// runner's cursor, clamped to its remaining steps.
+  std::int64_t silent_steps(std::int64_t k) override;
 
   /// All state lives in the per-vertex runner; no outbound callbacks.
   bool shard_safe() const override { return true; }

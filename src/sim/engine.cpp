@@ -27,6 +27,11 @@ constexpr Round promise_until(Round t, std::int64_t j) {
   return j >= kParkedForever - t ? kParkedForever : t + j;
 }
 
+/// The dispatch block a stage body's range starts (0 in serial rounds).
+std::size_t block_index(const RoundState& rs, graph::Vertex begin) {
+  return rs.sharded ? begin / rs.block_size : 0;
+}
+
 }  // namespace
 
 std::vector<ProcessId> assign_ids(std::size_t n, std::uint64_t seed) {
@@ -110,6 +115,7 @@ struct EngineStages {
       const Round t = rs.round;
       const std::size_t wb = begin / 64;
       const std::size_t we = (static_cast<std::size_t>(end) + 63) / 64;
+      std::uint64_t steps = 0;
       for (std::size_t w = wb; w < we; ++w) {
         if (e_.word_silent_until_[w] >= t) continue;
         const auto lo = static_cast<graph::Vertex>(w * 64);
@@ -121,6 +127,7 @@ struct EngineStages {
             e_.processes_[v]->silent_steps(t - 1 - e_.last_stepped_[v]);
           }
           e_.last_stepped_[v] = t;
+          ++steps;
           RoundContext ctx(t, e_.rngs_[v]);
           auto packet = e_.processes_[v]->transmit(ctx);
           if (!packet.has_value()) continue;
@@ -130,6 +137,7 @@ struct EngineStages {
           e_.transmitting_.set(v);
         }
       }
+      e_.block_steps_[block_index(rs, begin)] += steps;
     }
 
    private:
@@ -288,6 +296,7 @@ struct EngineStages {
       const auto fwords = e_.frontier_.words();
       const std::size_t wb = begin / 64;
       const std::size_t we = (static_cast<std::size_t>(end) + 63) / 64;
+      std::uint64_t wakes = 0;
       for (std::size_t w = wb; w < we; ++w) {
         const bool frontier = fwords[w] != 0;
         if (!frontier && e_.word_silent_until_[w] >= t) continue;
@@ -303,7 +312,10 @@ struct EngineStages {
           const std::uint64_t bit = std::uint64_t{1} << (u - lo);
           if (count == 1 && !masked(u)) {
             one |= bit;
-            if (e_.silent_until_[u] >= t) wake(u, t);
+            if (e_.silent_until_[u] >= t) {
+              wake(u, t);
+              ++wakes;
+            }
             const Packet& packet = e_.outgoing_slab_[h >> 32];
             RoundContext ctx(t, e_.rngs_[u]);
             e_.processes_[u]->receive(packet, ctx);
@@ -318,6 +330,7 @@ struct EngineStages {
         e_.delivered_.words()[w] = one;
         e_.collided_.words()[w] = many;
       }
+      e_.block_steps_[block_index(rs, begin)] += wakes;
     }
     /// Replays the reception observers word by word, in ascending vertex
     /// order, from the verdicts run() recorded for frontier words: only
@@ -635,7 +648,7 @@ void Engine::apply_telemetry(obs::Registry* registry, obs::TraceSink* sink) {
     m_rounds_ = m_tx_ = m_delivered_ = m_collisions_ = m_silent_ = nullptr;
     m_crashes_ = m_recoveries_ = nullptr;
     m_dispatch_serial_ = m_dispatch_sharded_ = nullptr;
-    m_active_blocks_ = nullptr;
+    m_active_blocks_ = m_steps_ = nullptr;
     m_frontier_fraction_ = nullptr;
     m_tx_per_round_ = nullptr;
     return;
@@ -666,6 +679,9 @@ void Engine::apply_telemetry(obs::Registry* registry, obs::TraceSink* sink) {
       &registry->counter("engine.active_blocks", Domain::kTiming);
   m_frontier_fraction_ =
       &registry->gauge("engine.frontier_fraction", Domain::kTiming);
+  // Vertex steps taken are what parking saves, so they differ from the
+  // oracle mode by design: timing domain, like the frontier counters.
+  m_steps_ = &registry->counter("engine.steps", Domain::kTiming);
   registry->gauge("engine.round_threads", Domain::kTiming) =
       static_cast<double>(round_threads_);
   registry->gauge("engine.vertices", Domain::kLogical) =
@@ -827,6 +843,7 @@ void Engine::run_pipeline(bool sharded, std::size_t block_size,
     *(sharded ? m_dispatch_sharded_ : m_dispatch_serial_) += 1;
   }
   deliver_masked_ = false;
+  block_steps_.assign(sharded ? blocks : 1, 0);
 
   RoundState rs;
   rs.round = t;
@@ -893,6 +910,9 @@ void Engine::run_pipeline(bool sharded, std::size_t block_size,
 
   for (Observer* obs : obs_round_end_) {
     obs->on_round_end(t);
+  }
+  if (m_steps_ != nullptr) {
+    for (std::uint64_t steps : block_steps_) *m_steps_ += steps;
   }
   if (profiler_ != nullptr) profiler_->end_round(trace_sink_);
 }

@@ -306,6 +306,7 @@ class Engine {
   std::uint64_t* m_dispatch_serial_ = nullptr;
   std::uint64_t* m_dispatch_sharded_ = nullptr;
   std::uint64_t* m_active_blocks_ = nullptr;
+  std::uint64_t* m_steps_ = nullptr;
   double* m_frontier_fraction_ = nullptr;
   obs::Registry::Histogram* m_tx_per_round_ = nullptr;
 
@@ -354,6 +355,9 @@ class Engine {
   Bitmap frontier_;                          ///< Slab::kActivityMask
   std::vector<std::size_t> active_words_;    ///< non-zero frontier words
   std::vector<std::uint8_t> block_active_;   ///< per shard block, sharded
+  /// Vertex steps (transmit() calls, wakes included) taken this round, one
+  /// slot per dispatch block; summed serially into engine.steps.
+  std::vector<std::uint64_t> block_steps_;
   std::vector<Round> last_stepped_;
   std::vector<Round> silent_until_;
   std::vector<Round> word_silent_until_;

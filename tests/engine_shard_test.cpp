@@ -571,29 +571,54 @@ TEST(EngineSparseDifferential, SinrChannel) {
 
 TEST(EngineSparseDifferential, LbStackMatrix) {
   // The full LB stack -- where silent_steps() actually parks vertices
-  // (receiving-state bodies, post-recovery stretches, done seed runners) --
-  // across topology x traffic shape x fault plan x thread count.
-  struct Topo {
+  // (SeedAlg listeners up to their next election coin, decided preamble
+  // nodes up to the body, receiving-state bodies, post-recovery stretches,
+  // done seed runners) -- across layout x traffic shape x fault plan x
+  // thread count.  Each run covers two whole groups; a scripted run also
+  // covers the third group's preamble, so its vertices, crashed while
+  // parked in the first preamble and recovered inside the second, rejoin
+  // with a fresh preamble before the run ends.
+  struct Layout {
     const char* name;
     graph::DualGraph g;
+    int phases_per_seed;
   };
-  const Topo topos[] = {{"grid", graph::grid(10, 10, 1.0, 1.5)},
-                        {"geometric", geometric(150, 77)}};
+  const Layout layouts[] = {{"grid", graph::grid(10, 10, 1.0, 1.5), 1},
+                            {"geometric", geometric(150, 77), 1},
+                            {"grid/k=3", graph::grid(10, 10, 1.0, 1.5), 3}};
   const char* traffics[] = {"poisson:0.05", "burst:48:3", "hotspot:0.05:0.7"};
+  const char* faults[] = {"none", "poisson:0.1:96", "script"};
 
-  for (const Topo& topo : topos) {
+  for (const Layout& layout : layouts) {
     lb::LbScales scales;
     scales.ack_scale = 0.02;
-    const auto params = lb::LbParams::calibrated(
-        0.1, 1.5, topo.g.delta(), topo.g.delta_prime(), scales);
+    auto params = lb::LbParams::calibrated(
+        0.1, 1.5, layout.g.delta(), layout.g.delta_prime(), scales);
+    params.phases_per_seed = layout.phases_per_seed;
+    const Round crash_at = params.t_s / 2;
+    const Round recover_at = params.group_length() + params.t_s / 2 + 1;
+    std::vector<fault::FaultEvent> script;
+    for (graph::Vertex v = 3; v < layout.g.size(); v += 7) {
+      script.push_back({crash_at, v, fault::FaultKind::kCrash});
+    }
+    for (graph::Vertex v = 3; v < layout.g.size(); v += 7) {
+      script.push_back({recover_at, v, fault::FaultKind::kRecover});
+    }
     for (const char* traffic : traffics) {
-      for (bool faults : {false, true}) {
+      // The seed-reuse layout's runs are twice as long, and the scripted
+      // plan targets the preamble, not the traffic: poisson only.
+      const bool poisson = std::string(traffic).rfind("poisson", 0) == 0;
+      if (layout.phases_per_seed != 1 && !poisson) continue;
+      for (const std::string fault_text : faults) {
+        if (fault_text == "script" && !poisson) continue;
+        const Round rounds = 2 * params.group_length() +
+                             (fault_text == "script" ? params.t_s + 1 : 0);
+        // Scripted vertices whose silent promise covers the crash round.
+        std::size_t parked_at_crash = 0;
         const auto run = [&](std::size_t threads, bool sparse) {
           traffic::TrafficSpec tspec;
           EXPECT_EQ(traffic::parse_traffic_spec(traffic, tspec), "");
-          fault::FaultSpec fspec;
-          EXPECT_EQ(fault::parse_fault_spec("poisson:0.1:96", fspec), "");
-          lb::LbSimulation sim(topo.g,
+          lb::LbSimulation sim(layout.g,
                                std::make_unique<BernoulliScheduler>(0.5),
                                params, /*master_seed=*/2030);
           sim.configure(EngineConfig{}
@@ -603,13 +628,29 @@ TEST(EngineSparseDifferential, LbStackMatrix) {
           StreamObserver stream;
           sim.add_observer(&stream);
           sim.add_traffic(traffic::build_source(
-              tspec, topo.g.size(), derive_seed(2030, 0x7fcULL)));
+              tspec, layout.g.size(), derive_seed(2030, 0x7fcULL)));
           std::unique_ptr<fault::FaultPlan> plan;
-          if (faults) {
+          if (fault_text == "script") {
+            plan = std::make_unique<fault::ScriptFaultPlan>(script);
+          } else if (fault_text != "none") {
+            fault::FaultSpec fspec;
+            EXPECT_EQ(fault::parse_fault_spec(fault_text, fspec), "");
             plan = fault::build_fault_plan(fspec);
+          }
+          if (plan != nullptr) {
             sim.configure(EngineConfig{}.with_fault_plan(plan.get()));
           }
-          sim.run_phases(2);
+          sim.run_rounds(crash_at - 1);
+          if (!sparse && fault_text == "script") {
+            // A pure promise query on the densely stepped oracle.
+            parked_at_crash = 0;
+            for (std::size_t i = 0; i < script.size() / 2; ++i) {
+              if (sim.process(script[i].vertex).silent_steps(0) > 0) {
+                ++parked_at_crash;
+              }
+            }
+          }
+          sim.run_rounds(rounds - (crash_at - 1));
           auto all = ledger(sim.traffic().stats());
           const lb::DegradationLedger& led = sim.ledger();
           all.insert(all.end(),
@@ -618,15 +659,20 @@ TEST(EngineSparseDifferential, LbStackMatrix) {
                       led.acks_in_fault_rounds});
           return std::make_pair(stream.events(), all);
         };
-        const std::string what = std::string(topo.name) + "/" + traffic +
-                                 (faults ? "/faults" : "/no-faults");
-        // The full thread sweep rides on the poisson shape; the other
-        // shapes check the serial and widest-parallel endpoints.
-        const bool full_sweep = std::string(traffic).rfind("poisson", 0) == 0;
+        const std::string what =
+            std::string(layout.name) + "/" + traffic + "/" + fault_text;
+        // The full thread sweep rides on the poisson shape of the paper's
+        // layout; the other inputs check the serial and widest-parallel
+        // endpoints.
+        const bool full_sweep = poisson && layout.phases_per_seed == 1;
         for (std::size_t threads : kThreadCounts) {
           if (!full_sweep && threads != 1 && threads != 8) continue;
           const auto dense = run(threads, false);
           const auto sparse = run(threads, true);
+          if (fault_text == "script") {
+            EXPECT_GT(parked_at_crash, 0u)
+                << what << ": no scripted vertex parked; weak fixture";
+          }
           ASSERT_EQ(dense.second, sparse.second)
               << what << " @ " << threads << " threads (ledgers)";
           ASSERT_EQ(dense.first.size(), sparse.first.size())
@@ -637,6 +683,45 @@ TEST(EngineSparseDifferential, LbStackMatrix) {
           }
         }
       }
+    }
+  }
+}
+
+TEST(EngineSparseDifferential, PreambleStepsParked) {
+  // engine.steps counts the vertex steps actually taken.  A silent promise
+  // of 0 everywhere would keep every execution byte-identical yet step
+  // every vertex in every preamble round again; this pins the saving.  The
+  // count is summed per block, so it is the same at every thread count.
+  const auto g = graph::grid(32, 32, 1.0, 1.5);
+  const auto params = lb::LbParams::calibrated(0.1, 1.5, g.delta(),
+                                               g.delta_prime(), {});
+  const std::uint64_t all = g.size() * static_cast<std::uint64_t>(params.t_s);
+  std::uint64_t serial_steps = 0;
+  for (bool sparse : {true, false}) {
+    for (std::size_t threads : kThreadCounts) {
+      obs::Registry registry;
+      lb::LbSimulation sim(g, std::make_unique<BernoulliScheduler>(0.5),
+                           params, /*master_seed=*/77);
+      sim.configure(EngineConfig{}
+                        .with_round_threads(threads)
+                        .with_sparse_rounds(sparse)
+                        .with_telemetry(&registry));
+      sim.run_rounds(params.t_s);
+      const std::uint64_t preamble =
+          registry.counter("engine.steps", obs::Domain::kTiming);
+      sim.run_rounds(params.t_prog);  // the rest of the phase
+      const std::string what = std::string(sparse ? "sparse" : "oracle") +
+                               " @ " + std::to_string(threads) + " threads";
+      if (!sparse) {
+        EXPECT_EQ(preamble, all) << what;
+        EXPECT_EQ(registry.counter("engine.steps", obs::Domain::kTiming),
+                  g.size() * static_cast<std::uint64_t>(params.phase_length()))
+            << what;
+        continue;
+      }
+      EXPECT_LE(2 * preamble, all) << what;
+      if (threads == 1) serial_steps = preamble;
+      EXPECT_EQ(preamble, serial_steps) << what;
     }
   }
 }

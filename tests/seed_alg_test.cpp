@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <optional>
+#include <string>
 
 #include "seed/seed_alg.h"
 #include "sim/packet.h"
@@ -220,6 +222,123 @@ TEST(SeedAlgRunner, InitialSeedsAreIndependentDraws) {
   const auto params = SeedAlgParams::make(0.25, 4);
   SeedAlgRunner a(params, 1, rng), b(params, 2, rng);
   EXPECT_NE(a.initial_seed(), b.initial_seed());  // w.o.p.
+}
+
+// ---- silent horizon: the sparse-round promise ----
+
+SeedAlgParams shape(int num_phases, int phase_length) {
+  SeedAlgParams p;
+  p.num_phases = num_phases;
+  p.phase_length = phase_length;
+  p.broadcast_prob = 0.5;
+  return p;
+}
+
+/// Runs `fn(runner, rng)` after every step (and before the first) of a
+/// runner driven densely; receptions are null except for a seed packet
+/// with probability 1/8 per listening step, so runners also go inactive by
+/// adoption.
+template <typename Fn>
+void walk(const SeedAlgParams& params, std::uint64_t seed, Fn&& fn) {
+  Rng rng(seed);
+  Rng feed(seed ^ 0xfeedULL);
+  SeedAlgRunner runner(params, 1, rng);
+  fn(runner, rng);
+  while (!runner.done()) {
+    if (!runner.step_transmit(rng).has_value()) {
+      runner.step_receive(feed.chance(0.125)
+                              ? std::optional<sim::Packet>(seed_packet(9, 3))
+                              : std::nullopt);
+    }
+    fn(runner, rng);
+  }
+}
+
+void expect_same_runner(const SeedAlgRunner& a, const Rng& rng_a,
+                        const SeedAlgRunner& b, const Rng& rng_b,
+                        const std::string& what) {
+  EXPECT_EQ(a.steps_taken(), b.steps_taken()) << what;
+  EXPECT_EQ(a.phase_index(), b.phase_index()) << what;
+  EXPECT_EQ(a.round_in_phase(), b.round_in_phase()) << what;
+  EXPECT_EQ(a.status(), b.status()) << what;
+  ASSERT_EQ(a.decision().has_value(), b.decision().has_value()) << what;
+  if (a.decision().has_value()) {
+    EXPECT_EQ(a.decision()->owner, b.decision()->owner) << what;
+    EXPECT_EQ(a.decision()->seed_value, b.decision()->seed_value) << what;
+    EXPECT_EQ(a.decision()->by_default, b.decision()->by_default) << what;
+    EXPECT_EQ(a.decision()->as_leader, b.decision()->as_leader) << what;
+  }
+  Rng next_a = rng_a;
+  Rng next_b = rng_b;
+  EXPECT_EQ(next_a.bits(), next_b.bits()) << what << ": Rng streams diverged";
+}
+
+TEST(SeedAlgRunner, SkipMatchesDenseSilentSteps) {
+  // From every reachable state, jumping the whole silent horizon with
+  // skip() leaves what the same number of dense null-reception steps
+  // leaves -- and those dense steps transmit nothing and draw nothing.
+  for (int phases = 1; phases <= 5; ++phases) {
+    for (int length : {1, 2, 3, 19}) {
+      const SeedAlgParams params = shape(phases, length);
+      for (std::uint64_t seed = 0; seed < 12; ++seed) {
+        walk(params, seed, [&](const SeedAlgRunner& runner, const Rng& rng) {
+          const int h = runner.silent_horizon();
+          ASSERT_GE(h, 0);
+          ASSERT_LE(h, params.total_rounds() - runner.steps_taken());
+          SeedAlgRunner dense = runner;
+          Rng dense_rng = rng;
+          for (int i = 0; i < h; ++i) {
+            ASSERT_FALSE(dense.step_transmit(dense_rng).has_value());
+            dense.step_receive(std::nullopt);
+          }
+          SeedAlgRunner jumped = runner;
+          jumped.skip(h);
+          expect_same_runner(dense, dense_rng, jumped, rng,
+                             std::to_string(phases) + "x" +
+                                 std::to_string(length) + " seed " +
+                                 std::to_string(seed) + " step " +
+                                 std::to_string(runner.steps_taken()));
+        });
+      }
+    }
+  }
+}
+
+TEST(SeedAlgRunner, SilentHorizonBoundaries) {
+  int leaders = 0, phase_starts = 0, last_phase = 0;  // cases exercised
+  for (int phases = 1; phases <= 5; ++phases) {
+    for (int length : {1, 2, 3, 19}) {
+      const SeedAlgParams params = shape(phases, length);
+      const int total = params.total_rounds();
+      for (std::uint64_t seed = 0; seed < 12; ++seed) {
+        walk(params, seed, [&](const SeedAlgRunner& runner, const Rng&) {
+          const int h = runner.silent_horizon();
+          // Leaders flip a broadcast coin every round.
+          if (runner.status() == SeedStatus::leader) {
+            ++leaders;
+            EXPECT_EQ(h, 0);
+          }
+          if (runner.status() != SeedStatus::active) return;
+          // An active runner flips the election coin at every phase start,
+          // which is every step when a phase is one round long.
+          if (runner.round_in_phase() == 0 || length == 1) {
+            ++phase_starts;
+            EXPECT_EQ(h, 0);
+          }
+          // In the last phase the final step, whose null reception takes
+          // the default decision, is never inside the horizon.
+          if (runner.phase_index() == phases - 1 &&
+              runner.round_in_phase() > 0) {
+            ++last_phase;
+            EXPECT_EQ(runner.steps_taken() + h, total - 1);
+          }
+        });
+      }
+    }
+  }
+  EXPECT_GT(leaders, 0);
+  EXPECT_GT(phase_starts, 0);
+  EXPECT_GT(last_phase, 0);
 }
 
 }  // namespace
