@@ -6,11 +6,10 @@
 
 namespace dg::lb {
 
-namespace {
-
-sim::Round progress_of(LbSimulation& sim,
-                       const std::vector<graph::Vertex>& senders,
-                       graph::Vertex receiver, std::int64_t horizon_phases) {
+sim::Round progress_latency(LbSimulation& sim,
+                            const std::vector<graph::Vertex>& senders,
+                            graph::Vertex receiver,
+                            std::int64_t horizon_phases) {
   stats::FirstReceptionProbe probe(sim.network().size());
   sim.add_observer(&probe);
   sim.keep_busy(senders);
@@ -18,10 +17,9 @@ sim::Round progress_of(LbSimulation& sim,
     sim.run_phases(1);
     if (probe.first_reception(receiver) != 0) break;
   }
+  sim.export_telemetry();
   return probe.first_reception(receiver);
 }
-
-}  // namespace
 
 sim::Round progress_latency(const graph::DualGraph& g,
                             std::unique_ptr<sim::LinkScheduler> scheduler,
@@ -32,25 +30,7 @@ sim::Round progress_latency(const graph::DualGraph& g,
                             const sim::EngineConfig& config) {
   LbSimulation sim(g, std::move(scheduler), params, seed);
   sim.configure(config);
-  const sim::Round latency =
-      progress_of(sim, senders, receiver, horizon_phases);
-  sim.export_telemetry();
-  return latency;
-}
-
-sim::Round progress_latency(const graph::DualGraph& g,
-                            std::unique_ptr<phys::ChannelModel> channel,
-                            const LbParams& params,
-                            const std::vector<graph::Vertex>& senders,
-                            graph::Vertex receiver,
-                            std::int64_t horizon_phases, std::uint64_t seed,
-                            const sim::EngineConfig& config) {
-  LbSimulation sim(g, std::move(channel), params, seed);
-  sim.configure(config);
-  const sim::Round latency =
-      progress_of(sim, senders, receiver, horizon_phases);
-  sim.export_telemetry();
-  return latency;
+  return progress_latency(sim, senders, receiver, horizon_phases);
 }
 
 FloodStats run_flood(LbSimulation& sim, graph::Vertex sender,

@@ -18,25 +18,23 @@
 
 namespace dg::lb {
 
-/// Measures LBAlg progress latency: rounds until the designated receiver's
-/// first data reception, with `senders` kept saturated.  Returns 0 when the
-/// receiver never received within `horizon_phases`.  `config` is applied
-/// to the internally constructed simulation through
-/// LbSimulation::configure (thread cap, telemetry, spliced stages; results
-/// are byte-identical at every thread cap); when it carries telemetry, the
-/// wrapper aggregates are exported after the run.
-sim::Round progress_latency(const graph::DualGraph& g,
-                            std::unique_ptr<sim::LinkScheduler> scheduler,
-                            const LbParams& params,
+/// Measures LBAlg progress latency on a freshly built simulation: rounds
+/// until the designated receiver's first data reception, with `senders`
+/// kept saturated, phase by phase up to `horizon_phases`.  Returns 0 when
+/// the receiver never received.  Exports the wrapper's telemetry
+/// aggregates afterwards (a no-op when none is configured).  The probe it
+/// attaches lives only for the call, so `sim` runs no further rounds.
+sim::Round progress_latency(LbSimulation& sim,
                             const std::vector<graph::Vertex>& senders,
                             graph::Vertex receiver,
-                            std::int64_t horizon_phases, std::uint64_t seed,
-                            const sim::EngineConfig& config = {});
+                            std::int64_t horizon_phases);
 
-/// Same measurement, but reception decided by an explicit channel model
-/// (e.g. phys::SinrChannel ground truth) instead of the scheduler.
+/// The same measurement on a simulation built here over the scheduler's
+/// dual-graph reception.  `config` is applied through
+/// LbSimulation::configure (thread cap, telemetry, spliced stages; results
+/// are byte-identical at every thread cap).
 sim::Round progress_latency(const graph::DualGraph& g,
-                            std::unique_ptr<phys::ChannelModel> channel,
+                            std::unique_ptr<sim::LinkScheduler> scheduler,
                             const LbParams& params,
                             const std::vector<graph::Vertex>& senders,
                             graph::Vertex receiver,

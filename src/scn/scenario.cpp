@@ -1,6 +1,5 @@
 #include "scn/scenario.h"
 
-#include <charconv>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
@@ -228,18 +227,8 @@ bool parse_topology(Ctx& ctx, const json::Value& v, const std::string& path,
       !r.number("p_grey_unreliable", out.p_grey_unreliable)) {
     return false;
   }
-  if (!(out.side > 0.0)) return ctx.fail(v, path, "side must be > 0");
-  if (!(out.spacing > 0.0)) return ctx.fail(v, path, "spacing must be > 0");
-  const double min_r = out.type == "bridged" ? 1.2 : 1.0;
-  if (!(out.r >= min_r)) {
-    std::ostringstream os;
-    os << "r must be >= " << min_r << " for topology '" << out.type << "'";
-    return ctx.fail(v, path, os.str());
-  }
-  for (double p : {out.p_grey_reliable, out.p_grey_unreliable}) {
-    if (!(p >= 0.0 && p <= 1.0)) {
-      return ctx.fail(v, path, "grey-zone probabilities must be in [0, 1]");
-    }
+  if (const std::string err = validate_topology(out); !err.empty()) {
+    return ctx.fail(v, path, err);
   }
   return r.finish();
 }
@@ -331,8 +320,9 @@ std::size_t node_count(const TopologySpec& t) {
   return 0;
 }
 
-/// Cross-field rules: workload vs topology vs channel compatibility plus
-/// vertex bound checks.  `at` anchors the error position.
+/// Cross-field rules: workload vs topology vs channel compatibility, then
+/// the vertex bounds of check_vertex_bounds.  `at` anchors the error
+/// position.
 bool validate_semantics(Ctx& ctx, const json::Value& at,
                         const std::string& path, const ScenarioSpec& spec) {
   const AlgorithmSpec& a = spec.algorithm;
@@ -414,57 +404,8 @@ bool validate_semantics(Ctx& ctx, const json::Value& at,
                         "kinds: " +
                         std::string(kValidAlgorithmTypes) + ")");
   }
-  if (!spec.faults.empty()) {
-    const fault::FaultSpec& f = spec.fault_spec;
-    const bool names_vertex = f.kind == fault::FaultSpec::Kind::kCrash ||
-                              f.kind == fault::FaultSpec::Kind::kRegion;
-    if (names_vertex && f.vertex >= n) {
-      std::ostringstream os;
-      os << "faults '" << spec.faults << "' names vertex " << f.vertex
-         << ", but the topology has only " << n << " vertices";
-      return ctx.fail(at, path, os.str());
-    }
-    if (f.kind == fault::FaultSpec::Kind::kAdversary &&
-        static_cast<std::size_t>(f.k) > n) {
-      std::ostringstream os;
-      os << "faults '" << spec.faults << "' crashes " << f.k
-         << " vertices per period, but the topology has only " << n
-         << " vertices";
-      return ctx.fail(at, path, os.str());
-    }
-  }
-  if (!spec.traffic.empty()) {
-    const traffic::TrafficSpec& t = spec.traffic_spec;
-    const bool counted = t.kind == traffic::TrafficSpec::Kind::kSaturate ||
-                         t.kind == traffic::TrafficSpec::Kind::kBurst;
-    if (counted && t.count > n) {
-      std::ostringstream os;
-      os << "traffic '" << spec.traffic << "' names " << t.count
-         << " sender(s), but the topology has only " << n << " vertices";
-      return ctx.fail(at, path, os.str());
-    }
-    if (t.kind == traffic::TrafficSpec::Kind::kHotspot && t.hot >= n) {
-      std::ostringstream os;
-      os << "traffic hot vertex " << t.hot << " out of range (topology has "
-         << n << " vertices)";
-      return ctx.fail(at, path, os.str());
-    }
-  }
-  if (a.receiver >= static_cast<std::int64_t>(n)) {
-    std::ostringstream os;
-    os << "receiver " << a.receiver << " out of range (topology has " << n
-       << " vertices)";
-    return ctx.fail(at, path, os.str());
-  }
-  for (graph::Vertex s : a.senders) {
-    if (s >= n) {
-      std::ostringstream os;
-      os << "sender " << s << " out of range (topology has " << n
-         << " vertices)";
-      return ctx.fail(at, path, os.str());
-    }
-  }
-  return true;
+  const SpecViolation bounds = check_vertex_bounds(spec);
+  return bounds.ok() || ctx.fail(at, path, bounds.message);
 }
 
 /// Parses one *concrete* (matrix-expanded) scenario object.
@@ -703,25 +644,89 @@ std::string validate_scheduler_spec(const std::string& spec) {
 
 std::string validate_round_threads_value(const std::string& value,
                                          std::size_t& out) {
-  if (value.empty()) return "round-threads needs a positive integer; got ''";
-  for (char c : value) {
-    if (c < '0' || c > '9') {
-      return "round-threads needs a positive integer; got '" + value + "'";
-    }
+  if (value.empty() || value.find_first_not_of("0123456789") !=
+                            std::string::npos) {
+    return "round-threads needs a positive integer; got '" + value + "'";
   }
-  // from_chars reports overflow; strtoull would saturate and hand the
-  // engine 2^64-1 threads.
+  // A digits-only value that overflows gets the range message: strtoull
+  // would saturate and hand the engine 2^64-1 threads.
   std::size_t parsed = 0;
-  const auto [ptr, ec] =
-      std::from_chars(value.data(), value.data() + value.size(), parsed);
-  if (ec != std::errc() || ptr != value.data() + value.size() ||
-      parsed == 0 || parsed > sim::kMaxRoundThreads) {
+  if (!spec::parse_uint(value, parsed) || parsed == 0 ||
+      parsed > sim::kMaxRoundThreads) {
     return "round-threads must be in [1, " +
            std::to_string(sim::kMaxRoundThreads) + "] (serial is 1); got '" +
            value + "'";
   }
   out = parsed;
   return "";
+}
+
+std::string validate_topology(const TopologySpec& t) {
+  if (!(t.side > 0.0)) return "side must be > 0";
+  if (!(t.spacing > 0.0)) return "spacing must be > 0";
+  const double min_r = t.type == "bridged" ? 1.2 : 1.0;
+  if (!(t.r >= min_r)) {
+    std::ostringstream os;
+    os << "r must be >= " << min_r << " for topology '" << t.type << "'";
+    return os.str();
+  }
+  for (double p : {t.p_grey_reliable, t.p_grey_unreliable}) {
+    if (!(p >= 0.0 && p <= 1.0)) {
+      return "grey-zone probabilities must be in [0, 1]";
+    }
+  }
+  return "";
+}
+
+SpecViolation check_vertex_bounds(const ScenarioSpec& spec) {
+  const std::size_t n = node_count(spec.topology);
+  const auto violation = [](const char* key, const auto&... parts) {
+    std::ostringstream os;
+    (os << ... << parts);
+    return SpecViolation{key, os.str()};
+  };
+  if (!spec.faults.empty()) {
+    const fault::FaultSpec& f = spec.fault_spec;
+    const bool names_vertex = f.kind == fault::FaultSpec::Kind::kCrash ||
+                              f.kind == fault::FaultSpec::Kind::kRegion;
+    if (names_vertex && f.vertex >= n) {
+      return violation("faults", "faults '", spec.faults, "' names vertex ",
+                       f.vertex, ", but the topology has only ", n,
+                       " vertices");
+    }
+    if (f.kind == fault::FaultSpec::Kind::kAdversary &&
+        static_cast<std::size_t>(f.k) > n) {
+      return violation("faults", "faults '", spec.faults, "' crashes ", f.k,
+                       " vertices per period, but the topology has only ", n,
+                       " vertices");
+    }
+  }
+  if (!spec.traffic.empty()) {
+    const traffic::TrafficSpec& t = spec.traffic_spec;
+    const bool counted = t.kind == traffic::TrafficSpec::Kind::kSaturate ||
+                         t.kind == traffic::TrafficSpec::Kind::kBurst;
+    if (counted && t.count > n) {
+      return violation("traffic", "traffic '", spec.traffic, "' names ",
+                       t.count, " sender(s), but the topology has only ", n,
+                       " vertices");
+    }
+    if (t.kind == traffic::TrafficSpec::Kind::kHotspot && t.hot >= n) {
+      return violation("traffic", "traffic hot vertex ", t.hot,
+                       " out of range (topology has ", n, " vertices)");
+    }
+  }
+  const AlgorithmSpec& a = spec.algorithm;
+  if (a.receiver >= static_cast<std::int64_t>(n)) {
+    return violation("algorithm", "receiver ", a.receiver,
+                     " out of range (topology has ", n, " vertices)");
+  }
+  for (graph::Vertex s : a.senders) {
+    if (s >= n) {
+      return violation("algorithm", "sender ", s,
+                       " out of range (topology has ", n, " vertices)");
+    }
+  }
+  return {};
 }
 
 std::unique_ptr<sim::LinkScheduler> build_scheduler(const std::string& spec) {

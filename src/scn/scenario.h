@@ -183,6 +183,27 @@ std::string validate_scheduler_spec(const std::string& spec);
 std::string validate_round_threads_value(const std::string& value,
                                          std::size_t& out);
 
+/// The value rules of a topology spec: side and spacing > 0, r >= 1
+/// (>= 1.2 for bridged, which needs grey-zone room for its bridge), and
+/// grey-zone probabilities in [0, 1].  Returns "" or the violated rule.
+std::string validate_topology(const TopologySpec& spec);
+
+/// A failed scenario rule: the top-level ScenarioSpec key at fault
+/// ("traffic", "faults" or "algorithm") and the message; ok() when none.
+struct SpecViolation {
+  std::string key;
+  std::string message;
+  bool ok() const noexcept { return message.empty(); }
+};
+
+/// The vertex-bound rules, checked against the topology's node count
+/// (known statically for every family) so a bad bound is rejected before
+/// anything is built: crash/region fault vertices and the adversary's
+/// crash count, saturate/burst sender counts and the hotspot vertex, the
+/// receiver and the senders.  Campaign validation applies it to every
+/// variant; dglab applies it to the spec its flags compile to.
+SpecViolation check_vertex_bounds(const ScenarioSpec& spec);
+
 /// Builds the (committed-later) scheduler for a validated spec.
 /// Contract-checks that the spec is valid.
 std::unique_ptr<sim::LinkScheduler> build_scheduler(const std::string& spec);

@@ -44,31 +44,16 @@ graph::Vertex resolve_receiver(const AlgorithmSpec& a,
   return neighbors.empty() ? 1 : neighbors.front();
 }
 
-lb::LbParams lb_params_for(const AlgorithmSpec& a,
-                           const graph::DualGraph& g) {
-  lb::LbScales scales;
-  scales.ack_scale = a.ack_scale;
-  const double r = a.r > 0 ? a.r : std::max(1.0, g.r());
-  return lb::LbParams::calibrated(a.eps1, r, g.delta(), g.delta_prime(),
-                                  scales);
-}
-
-/// The variant's EngineConfig: thread cap, per-trial telemetry, and its
-/// spliced stages.  Stage specs were parsed and conflict-validated at
-/// campaign load time, so a parse failure here is a programming error.
-sim::EngineConfig engine_config_for(const ScenarioSpec& spec,
-                                    obs::Registry* registry) {
-  sim::EngineConfig config;
-  if (spec.round_threads != 0) config.with_round_threads(spec.round_threads);
-  if (registry != nullptr) config.with_telemetry(registry);
-  for (const std::string& text : spec.stages) {
-    sim::SpliceSpec splice;
-    std::string err;
-    const bool ok = sim::parse_splice_spec(text, splice, err);
-    DG_EXPECTS(ok);
-    config.with_splice(std::move(splice));
+/// Hands `make` the variant's reception model -- a phys::SinrChannel when
+/// the channel spec is SINR, the scheduler for the dual-graph rule
+/// otherwise, owned either way -- and returns what `make` returns.  The
+/// one place a scenario chooses its reception model.
+template <class Make>
+auto with_reception(const ScenarioSpec& spec, Make&& make) {
+  if (spec.channel_spec.is_sinr) {
+    return make(std::make_unique<phys::SinrChannel>(spec.channel_spec.sinr));
   }
-  return config;
+  return make(build_scheduler(spec.scheduler));
 }
 
 // ---- lb_progress (the E3/E6 trial body) ----
@@ -81,19 +66,9 @@ std::vector<double> run_lb_progress(const ScenarioSpec& spec,
   const auto params = lb_params_for(spec.algorithm, g);
   const auto senders = resolve_senders(spec.algorithm, g.size());
   const auto receiver = resolve_receiver(spec.algorithm, g, senders);
-  sim::Round latency = 0;
-  const sim::EngineConfig config = engine_config_for(spec, registry);
-  if (spec.channel_spec.is_sinr) {
-    latency = lb::progress_latency(
-        g, std::make_unique<phys::SinrChannel>(spec.channel_spec.sinr),
-        params, senders, receiver, spec.algorithm.horizon_phases, seed,
-        config);
-  } else {
-    latency = lb::progress_latency(g, build_scheduler(spec.scheduler),
-                                   params, senders, receiver,
-                                   spec.algorithm.horizon_phases, seed,
-                                   config);
-  }
+  const auto sim = build_lb_simulation(spec, g, params, seed, registry);
+  const sim::Round latency = lb::progress_latency(
+      *sim, senders, receiver, spec.algorithm.horizon_phases);
   return {static_cast<double>(latency),
           static_cast<double>(params.phase_length())};
 }
@@ -133,47 +108,12 @@ std::vector<double> run_decay_progress(const ScenarioSpec& spec,
 
 // ---- seed_agreement (one SeedAlg execution + spec check) ----
 
-seed::SeedSpecResult run_seed_check(const ScenarioSpec& spec,
-                                    const graph::DualGraph& g,
-                                    std::uint64_t seed,
-                                    obs::Registry* registry) {
-  const auto sparams =
-      seed::SeedAlgParams::make(spec.algorithm.seed_eps, g.delta());
-  const auto ids = sim::assign_ids(g.size(), derive_seed(seed, 1));
-  std::vector<std::unique_ptr<sim::Process>> procs;
-  Rng init(derive_seed(seed, 2));
-  for (graph::Vertex v = 0; v < g.size(); ++v) {
-    procs.push_back(
-        std::make_unique<seed::SeedProcess>(sparams, ids[v], init));
-  }
-  std::unique_ptr<sim::Engine> engine;
-  std::unique_ptr<sim::LinkScheduler> sched;
-  std::unique_ptr<phys::ChannelModel> channel;
-  if (spec.channel_spec.is_sinr) {
-    channel = std::make_unique<phys::SinrChannel>(spec.channel_spec.sinr);
-    engine = std::make_unique<sim::Engine>(g, *channel, std::move(procs),
-                                           derive_seed(seed, 3));
-  } else {
-    sched = build_scheduler(spec.scheduler);
-    engine = std::make_unique<sim::Engine>(g, *sched, std::move(procs),
-                                           derive_seed(seed, 3));
-  }
-  engine->configure(engine_config_for(spec, registry));
-  engine->run_rounds(sparams.total_rounds());
-  seed::DecisionVector decisions(g.size());
-  for (graph::Vertex v = 0; v < g.size(); ++v) {
-    decisions[v] =
-        dynamic_cast<const seed::SeedProcess&>(engine->process(v)).decision();
-  }
-  return seed::check_seed_spec(g, ids, decisions);
-}
-
 std::vector<double> run_seed_agreement(const ScenarioSpec& spec,
                                        std::uint64_t seed,
                                        obs::Registry* registry) {
   Rng rng(seed);
   const auto g = build_topology(spec.topology, rng);
-  const auto res = run_seed_check(spec, g, seed, registry);
+  const auto res = run_seed_check(spec, g, seed, registry).result;
   return {res.well_formed ? 1.0 : 0.0,
           res.consistent ? 1.0 : 0.0,
           res.owners_local ? 1.0 : 0.0,
@@ -189,14 +129,14 @@ std::vector<double> run_seed_then_progress(const ScenarioSpec& spec,
                                            obs::Registry* registry) {
   Rng rng(seed);
   const auto g = build_topology(spec.topology, rng);
-  const auto res = run_seed_check(spec, g, seed, registry);
+  const auto res = run_seed_check(spec, g, seed, registry).result;
   const auto params = lb_params_for(spec.algorithm, g);
   const auto senders = resolve_senders(spec.algorithm, g.size());
   const auto receiver = resolve_receiver(spec.algorithm, g, senders);
-  const auto latency = lb::progress_latency(
-      g, build_scheduler(spec.scheduler), params, senders, receiver,
-      spec.algorithm.horizon_phases, derive_seed(seed, 4),
-      engine_config_for(spec, registry));
+  const auto sim =
+      build_lb_simulation(spec, g, params, derive_seed(seed, 4), registry);
+  const auto latency = lb::progress_latency(*sim, senders, receiver,
+                                            spec.algorithm.horizon_phases);
   return {static_cast<double>(latency),
           static_cast<double>(res.max_neighborhood_owners),
           res.consistent ? 1.0 : 0.0};
@@ -262,30 +202,28 @@ std::vector<double> run_abstraction_fidelity(const ScenarioSpec& spec,
 // over the admission queues, measuring offered vs delivered throughput
 // and enqueue->ack / enqueue->first-recv latency) ----
 
+/// The open-loop run both traffic workloads share: the admission queue
+/// bound, the source on stream 5 (its private coins; 0x1d5/ids and the
+/// engine streams hang off the master seed, 1..4 are taken by the other
+/// workloads), horizon_phases of rounds, then the telemetry export.
+void run_open_loop(lb::LbSimulation& sim, const ScenarioSpec& spec,
+                   std::uint64_t seed) {
+  sim.traffic().set_queue_capacity(
+      static_cast<std::size_t>(spec.algorithm.queue_cap));
+  sim.add_traffic(traffic::build_source(
+      spec.traffic_spec, sim.network().size(), derive_seed(seed, 5)));
+  sim.run_phases(spec.algorithm.horizon_phases);
+  sim.export_telemetry();
+}
+
 std::vector<double> run_traffic_latency(const ScenarioSpec& spec,
                                         std::uint64_t seed,
                                         obs::Registry* registry) {
   Rng rng(seed);
   const auto g = build_topology(spec.topology, rng);
-  const auto params = lb_params_for(spec.algorithm, g);
-  std::unique_ptr<lb::LbSimulation> sim;
-  if (spec.channel_spec.is_sinr) {
-    sim = std::make_unique<lb::LbSimulation>(
-        g, std::make_unique<phys::SinrChannel>(spec.channel_spec.sinr),
-        params, seed);
-  } else {
-    sim = std::make_unique<lb::LbSimulation>(
-        g, build_scheduler(spec.scheduler), params, seed);
-  }
-  sim->configure(engine_config_for(spec, registry));
-  sim->traffic().set_queue_capacity(
-      static_cast<std::size_t>(spec.algorithm.queue_cap));
-  // Stream 5: the source's private coins (0x1d5/ids and the engine streams
-  // hang off the master seed; 1..4 are taken by the other workloads).
-  sim->add_traffic(
-      traffic::build_source(spec.traffic_spec, g.size(), derive_seed(seed, 5)));
-  sim->run_phases(spec.algorithm.horizon_phases);
-  sim->export_telemetry();
+  const auto sim = build_lb_simulation(
+      spec, g, lb_params_for(spec.algorithm, g), seed, registry);
+  run_open_loop(*sim, spec, seed);
 
   const traffic::TrafficStats& ts = sim->traffic().stats();
   const double rounds = static_cast<double>(sim->round());
@@ -314,27 +252,13 @@ std::vector<double> run_lb_churn(const ScenarioSpec& spec,
                                  obs::Registry* registry) {
   Rng rng(seed);
   const auto g = build_topology(spec.topology, rng);
-  const auto params = lb_params_for(spec.algorithm, g);
-  std::unique_ptr<lb::LbSimulation> sim;
-  if (spec.channel_spec.is_sinr) {
-    sim = std::make_unique<lb::LbSimulation>(
-        g, std::make_unique<phys::SinrChannel>(spec.channel_spec.sinr),
-        params, seed);
-  } else {
-    sim = std::make_unique<lb::LbSimulation>(
-        g, build_scheduler(spec.scheduler), params, seed);
-  }
-  const auto plan = fault::build_fault_plan(spec.fault_spec);
-  sim->configure(engine_config_for(spec, registry).with_fault_plan(plan.get()));
-  sim->traffic().set_queue_capacity(
-      static_cast<std::size_t>(spec.algorithm.queue_cap));
-  // Same stream layout as traffic_latency (stream 5 = source coins); the
-  // fault plan draws from the engine master seed under fault::kFaultStream,
+  const auto sim = build_lb_simulation(
+      spec, g, lb_params_for(spec.algorithm, g), seed, registry);
+  // The plan draws from the engine master seed under fault::kFaultStream,
   // so the churn axis perturbs no traffic or protocol randomness.
-  sim->add_traffic(
-      traffic::build_source(spec.traffic_spec, g.size(), derive_seed(seed, 5)));
-  sim->run_phases(spec.algorithm.horizon_phases);
-  sim->export_telemetry();
+  const auto plan = fault::build_fault_plan(spec.fault_spec);
+  sim->configure(sim::EngineConfig{}.with_fault_plan(plan.get()));
+  run_open_loop(*sim, spec, seed);
 
   const traffic::TrafficStats& ts = sim->traffic().stats();
   const lb::LbSpecReport& rep = sim->report();
@@ -365,6 +289,65 @@ std::vector<double> run_lb_churn(const ScenarioSpec& spec,
 }
 
 }  // namespace
+
+lb::LbParams lb_params_for(const AlgorithmSpec& a, const graph::DualGraph& g) {
+  lb::LbScales scales;
+  scales.ack_scale = a.ack_scale;
+  const double r = a.r > 0 ? a.r : std::max(1.0, g.r());
+  return lb::LbParams::calibrated(a.eps1, r, g.delta(), g.delta_prime(),
+                                  scales);
+}
+
+sim::EngineConfig engine_config_for(const ScenarioSpec& spec,
+                                    obs::Registry* registry) {
+  sim::EngineConfig config;
+  if (spec.round_threads != 0) config.with_round_threads(spec.round_threads);
+  if (registry != nullptr) config.with_telemetry(registry);
+  for (const std::string& text : spec.stages) {
+    sim::SpliceSpec splice;
+    std::string err;
+    const bool ok = sim::parse_splice_spec(text, splice, err);
+    DG_EXPECTS(ok);
+    config.with_splice(std::move(splice));
+  }
+  return config;
+}
+
+std::unique_ptr<lb::LbSimulation> build_lb_simulation(
+    const ScenarioSpec& spec, const graph::DualGraph& g,
+    const lb::LbParams& params, std::uint64_t seed, obs::Registry* registry) {
+  auto sim = with_reception(spec, [&](auto reception) {
+    return std::make_unique<lb::LbSimulation>(g, std::move(reception), params,
+                                              seed);
+  });
+  sim->configure(engine_config_for(spec, registry));
+  return sim;
+}
+
+SeedCheck run_seed_check(const ScenarioSpec& spec, const graph::DualGraph& g,
+                         std::uint64_t seed, obs::Registry* registry) {
+  const auto sparams =
+      seed::SeedAlgParams::make(spec.algorithm.seed_eps, g.delta());
+  const auto ids = sim::assign_ids(g.size(), derive_seed(seed, 1));
+  std::vector<std::unique_ptr<sim::Process>> procs;
+  Rng init(derive_seed(seed, 2));
+  for (graph::Vertex v = 0; v < g.size(); ++v) {
+    procs.push_back(
+        std::make_unique<seed::SeedProcess>(sparams, ids[v], init));
+  }
+  return with_reception(spec, [&](auto reception) {
+    sim::Engine engine(g, *reception, std::move(procs), derive_seed(seed, 3));
+    engine.configure(engine_config_for(spec, registry));
+    engine.run_rounds(sparams.total_rounds());
+    seed::DecisionVector decisions(g.size());
+    for (graph::Vertex v = 0; v < g.size(); ++v) {
+      decisions[v] =
+          dynamic_cast<const seed::SeedProcess&>(engine.process(v)).decision();
+    }
+    return SeedCheck{seed::check_seed_spec(g, ids, decisions),
+                     engine.channel().name()};
+  });
+}
 
 std::vector<std::string> metric_names(const ScenarioSpec& spec) {
   const std::string& t = spec.algorithm.type;

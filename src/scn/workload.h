@@ -11,13 +11,57 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "graph/dual_graph.h"
+#include "lb/params.h"
+#include "lb/simulation.h"
 #include "obs/registry.h"
 #include "scn/scenario.h"
+#include "seed/spec.h"
+#include "sim/engine_config.h"
 
 namespace dg::scn {
+
+// ---- the builders every front end shares (the workloads below, dglab) ----
+
+/// LBAlg parameters for `a` over `g`: calibrated from eps1 and ack_scale
+/// at r = a.r, or max(1.0, graph r) when a.r is 0 (auto).
+lb::LbParams lb_params_for(const AlgorithmSpec& a, const graph::DualGraph& g);
+
+/// The variant's EngineConfig: thread cap, telemetry into `registry` when
+/// non-null, and its spliced stages (parsed and conflict-validated when
+/// the spec was built, so a parse failure here is a programming error).
+sim::EngineConfig engine_config_for(const ScenarioSpec& spec,
+                                    obs::Registry* registry);
+
+/// The variant's LBAlg simulation over `g`, seeded with `seed` and
+/// configured with engine_config_for(spec, registry).  Reception is SINR
+/// physics when the channel spec says so and the dual-graph rule over the
+/// variant's scheduler otherwise, chosen by the one helper this shares
+/// with run_seed_check.
+std::unique_ptr<lb::LbSimulation> build_lb_simulation(
+    const ScenarioSpec& spec, const graph::DualGraph& g,
+    const lb::LbParams& params, std::uint64_t seed,
+    obs::Registry* registry = nullptr);
+
+/// One SeedAlg execution checked against the seed spec: the result and
+/// the name of the channel that decided reception.
+struct SeedCheck {
+  seed::SeedSpecResult result;
+  std::string channel;
+};
+
+/// Runs SeedAlg at eps = spec.algorithm.seed_eps over `g` (ids, initial
+/// coins and engine on the derive_seed(seed, 1/2/3) streams) under the
+/// variant's reception model and EngineConfig, and checks its decisions.
+SeedCheck run_seed_check(const ScenarioSpec& spec, const graph::DualGraph& g,
+                         std::uint64_t seed,
+                         obs::Registry* registry = nullptr);
+
+// ---- workloads ----
 
 /// Metric names (column order of trial rows) for the variant's workload:
 ///   lb_progress:          latency, phase_len

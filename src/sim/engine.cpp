@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <charconv>
 #include <chrono>
 #include <cstdlib>
 #include <limits>
@@ -13,6 +12,7 @@
 #include "phys/dual_graph_channel.h"
 #include "util/assert.h"
 #include "util/rng.h"
+#include "util/specparse.h"
 
 namespace dg::sim {
 
@@ -553,11 +553,8 @@ std::size_t Engine::default_round_threads() {
   }
   // Digits only: strtoull would accept a sign or leading whitespace and
   // turn "-1" into 2^64-1 threads.
-  const std::string_view text(env);
   std::size_t parsed = 0;
-  const auto [ptr, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), parsed);
-  if (ec != std::errc() || ptr != text.data() + text.size() || parsed == 0 ||
+  if (!spec::parse_uint(env, parsed) || parsed == 0 ||
       parsed > kMaxRoundThreads) {
     return 1;
   }

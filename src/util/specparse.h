@@ -1,14 +1,18 @@
 // Shared token helpers for the textual spec grammars (scheduler specs in
-// scn/, channel specs in phys/, traffic specs in traffic/).  The three
-// grammars are documented as mirroring each other; keeping their
-// tokenization in one place keeps the strictness rules (whole-token
-// numbers, finite values) from drifting apart.
+// scn/, channel specs in phys/, traffic specs in traffic/) and the CLI
+// flag values of dglab and dgcampaign.  The grammars are documented as
+// mirroring each other; keeping their tokenization in one place keeps the
+// strictness rules (whole-token numbers, finite values, digits-only
+// counts) from drifting apart.
 #pragma once
 
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace dg::spec {
@@ -27,6 +31,16 @@ inline bool parse_num(const std::string& s, double& out) {
   char* end = nullptr;
   out = std::strtod(s.c_str(), &end);
   return end != nullptr && *end == '\0' && std::isfinite(out);
+}
+
+/// Strict unsigned token: digits only -- no sign, no blanks, no trailing
+/// junk -- and no overflow (strtoull would wrap "-1", accept "+4" and
+/// " 3", and saturate "99999999999999999999" to 2^64-1).
+template <class UInt>
+bool parse_uint(std::string_view s, UInt& out) {
+  static_assert(std::is_unsigned_v<UInt>);
+  const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), out);
+  return !s.empty() && ec == std::errc() && ptr == s.data() + s.size();
 }
 
 }  // namespace dg::spec

@@ -47,6 +47,7 @@
 #include "scn/scenario.h"
 #include "scn/workload.h"
 #include "sim/splice.h"
+#include "util/specparse.h"
 
 namespace {
 
@@ -93,11 +94,8 @@ class Flags {
       // errors instead of silently parsing as 0.
       if (key == "threads" || key == "max-trials") {
         const std::string& v = values_[key];
-        char* end = nullptr;
-        const auto parsed = std::strtoull(v.c_str(), &end, 10);
-        // strtoull legally wraps "-1" to ULLONG_MAX; the leading '-'
-        // check keeps negatives in the rejection path.
-        if (v.empty() || v[0] == '-' || end == nullptr || *end != '\0') {
+        std::uint64_t parsed = 0;
+        if (!spec::parse_uint(v, parsed)) {
           errors_.push_back("flag '--" + key +
                             "' needs a non-negative integer; got '" + v +
                             "'");
@@ -133,10 +131,12 @@ class Flags {
     const auto it = values_.find(key);
     return it == values_.end() ? dflt : it->second;
   }
+  /// A numeric flag's value (validated at parse time), or `dflt`.
   std::uint64_t uint(const std::string& key, std::uint64_t dflt) const {
     const auto it = values_.find(key);
-    return it == values_.end() ? dflt
-                               : std::strtoull(it->second.c_str(), nullptr, 10);
+    std::uint64_t v = dflt;
+    if (it != values_.end()) spec::parse_uint(it->second, v);
+    return v;
   }
   bool flag(const std::string& key) const { return values_.contains(key); }
 

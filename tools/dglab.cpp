@@ -6,10 +6,14 @@
 //   dglab sweep [--deltas=4,8,16,32] [run flags]  progress/delivery sweep
 //
 // Topology flags:
-//   --type=geometric|grid|clique|star|line   (default geometric)
-//   --n=64 --side=4.0 --r=1.5                (geometric)
-//   --cols=6 --rows=4 --spacing=1.0          (grid)
-//   --k=16                                   (clique size / star leaves / line length)
+//   --type=geometric|grid|clique|star|line|bridged|contention_star
+//          |disjoint_cliques   (default geometric; every family
+//          scn::build_topology builds)
+//   --n=64 --side=4.0 --r=1.5          (geometric; --r >= 1.2 for bridged)
+//   --cols=6 --rows=4 --spacing=1.0    (grid; --spacing also line)
+//   --k=16   (clique size / star leaves / line length / bridged cluster
+//            size / contention_star unreliable neighbors /
+//            disjoint_cliques clique size, two cliques)
 // Run flags:
 //   --eps=0.1 --seed=1 --phases=30 --senders=2 --ack-scale=0.02
 //   --sched=bernoulli:0.5 | full-g | full-gprime | flicker:64:32
@@ -49,29 +53,33 @@
 // --topology=family:args is a compact alias for the topology flags:
 //   grid:32x32 | geometric:256 | clique:16 | star:16 | line:16
 //
+// One builder path: the flags compile to one scn::ScenarioSpec, and the
+// network, channel, engine and simulation come from the src/scn/ builders
+// the campaign workloads use; dglab itself only parses and prints.
+//
 // Unknown --flags are rejected (a typo like --schd= must not silently run
 // the default configuration), and so are malformed numeric values: a value
 // that is not a plain number, or lies outside its flag's domain (kDomains:
 // e.g. --eps in (0, 0.5], --r >= 1, --reuse >= 1), exits 2 naming the
-// flag.  When the first argument is a --flag the `run` subcommand is
-// implied: `dglab --topology=grid:8x8 --phases=10`.
+// flag.  Spec grammars, flag combinations and vertex bounds are checked
+// the same way, before anything is built.  When the first argument is a
+// --flag the `run` subcommand is implied:
+// `dglab --topology=grid:8x8 --phases=10`.
 //
-// Example:
+// Examples:
 //   dglab run --type=geometric --n=48 --sched=bernoulli:0.5 --phases=40
+//   dglab run --type=contention_star --k=8 --phases=4
 #include <algorithm>
-#include <charconv>
 #include <cstdint>
 #include <cstdlib>
+#include <fstream>
 #include <iomanip>
 #include <iostream>
 #include <limits>
 #include <map>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
-
-#include <fstream>
 
 #include "fault/spec.h"
 #include "graph/generators.h"
@@ -79,13 +87,14 @@
 #include "obs/registry.h"
 #include "obs/trace_sink.h"
 #include "phys/channel_spec.h"
-#include "phys/sinr.h"
 #include "scn/scenario.h"
+#include "scn/workload.h"
 #include "seed/seed_alg.h"
 #include "seed/spec.h"
 #include "sim/engine.h"
-#include "sim/scheduler.h"
+#include "sim/splice.h"
 #include "sim/trace.h"
+#include "traffic/source.h"
 #include "traffic/spec.h"
 #include "util/specparse.h"
 #include "util/table.h"
@@ -128,12 +137,8 @@ constexpr Domain kDomains[] = {
     {"reuse", 1, 65536},     {"phases", 0, 2147483647},
 };
 
-/// Strict non-negative integer parse: digits only, no overflow (strtoull
-/// would wrap "-1", saturate on overflow and accept trailing junk).
-bool parse_uint(const std::string& s, std::uint64_t& out) {
-  const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), out);
-  return !s.empty() && ec == std::errc() && ptr == s.data() + s.size();
-}
+using spec::parse_uint;
+using spec::split;
 
 class Flags {
  public:
@@ -234,157 +239,131 @@ class Flags {
   std::vector<std::string> unknown_;
 };
 
-using dg::spec::split;
-
-/// Parses --round-threads through the shared scn validator (the same
-/// grammar dgcampaign enforces), exiting with a message on 0, negatives,
-/// or trailing junk.  Returns 0 when the flag is absent (engine default,
-/// i.e. DG_ROUND_THREADS or serial).
-std::size_t round_threads_flag(const Flags& flags) {
-  if (!flags.flag("round-threads")) return 0;
-  std::size_t parsed = 0;
-  const std::string err =
-      scn::validate_round_threads_value(flags.str("round-threads", ""), parsed);
-  if (!err.empty()) {
-    std::cerr << "dglab: --" << err << "\n";
-    std::exit(2);
-  }
-  return parsed;
+/// Exits 2 with "dglab: <message>" (bad input never reaches a builder's
+/// contract abort).
+[[noreturn]] void fail(const std::string& message) {
+  std::cerr << "dglab: " << message << "\n";
+  std::exit(2);
 }
 
-/// Builds the engine config shared by the run/sweep/seed subcommands:
-/// the --round-threads cap plus the --splice stage, both validated here
-/// so a typo like --splice=dedupe exits 2 with the valid grammar instead
-/// of a contract abort inside the engine.
-sim::EngineConfig engine_config_flags(const Flags& flags) {
-  sim::EngineConfig config;
-  const std::size_t round_threads = round_threads_flag(flags);
-  if (round_threads != 0) config.with_round_threads(round_threads);
-  if (flags.flag("splice")) {
-    sim::SpliceSpec spec;
-    std::string err;
-    if (!sim::parse_splice_spec(flags.str("splice", ""), spec, err)) {
-      std::cerr << "dglab: --splice: " << err << "\n";
-      std::exit(2);
-    }
-    config.with_splice(std::move(spec));
-  }
-  return config;
+/// Exits 2 with "dglab: --<flag>: <message>".
+[[noreturn]] void reject(const std::string& flag, const std::string& message) {
+  fail("--" + flag + ": " + message);
 }
 
-// ---- builders ----
+/// Rejects `flag` with a spec grammar's error message, if it has one.
+void check(const char* flag, const std::string& error) {
+  if (!error.empty()) reject(flag, error);
+}
+
+// ---- flags -> ScenarioSpec ----
+
+/// The --type families: every family scn::build_topology builds.
+constexpr const char* kTypes[] = {
+    "geometric", "grid",    "clique",          "star",
+    "line",      "bridged", "contention_star", "disjoint_cliques"};
 
 /// Expands the --topology=family:args alias (grid:32x32, geometric:256,
-/// clique:16, star:16, line:16) directly into a network.  Geometry knobs
-/// (--side, --spacing, --r) still apply; the alias only fixes the family
-/// and its size.
-graph::DualGraph build_network_alias(const Flags& flags, Rng& rng) {
-  const std::string spec = flags.str("topology", "");
-  const auto colon = spec.find(':');
-  const std::string fam = spec.substr(0, colon);
+/// clique:16, star:16, line:16) into the family and its size; geometry
+/// knobs (--side, --spacing, --r) still apply.
+void compile_alias(const std::string& text, scn::TopologySpec& t) {
+  const auto colon = text.find(':');
+  t.type = text.substr(0, colon);
   const std::string args =
-      colon == std::string::npos ? "" : spec.substr(colon + 1);
-  const double r = flags.num("r", 1.5);
-  const auto bad = [&]() -> graph::DualGraph {
-    std::cerr << "dglab: --topology: malformed spec '" << spec
-              << "' (valid: grid:COLSxROWS, geometric:N, clique:K, "
-                 "star:K, line:K)\n";
-    std::exit(2);
-  };
-  if (fam == "grid") {
+      colon == std::string::npos ? "" : text.substr(colon + 1);
+  bool ok = false;
+  if (t.type == "grid") {
     const auto x = args.find('x');
-    std::uint64_t cols = 0, rows = 0;
-    if (x == std::string::npos || !parse_uint(args.substr(0, x), cols) ||
-        !parse_uint(args.substr(x + 1), rows) || cols == 0 || rows == 0) {
-      return bad();
-    }
-    return graph::grid(static_cast<std::size_t>(cols),
-                       static_cast<std::size_t>(rows),
-                       flags.num("spacing", 1.0), r);
+    ok = x != std::string::npos && parse_uint(args.substr(0, x), t.cols) &&
+         parse_uint(args.substr(x + 1), t.rows) && t.cols != 0 && t.rows != 0;
+  } else if (t.type == "geometric") {
+    ok = parse_uint(args, t.n) && t.n != 0;
+  } else if (t.type == "clique" || t.type == "star" || t.type == "line") {
+    ok = parse_uint(args, t.k) && t.k != 0;
   }
-  std::uint64_t k = 0;
-  if (!parse_uint(args, k) || k == 0) return bad();
-  if (fam == "geometric") {
-    graph::GeometricSpec gspec;
-    gspec.n = static_cast<std::size_t>(k);
-    gspec.side = flags.num("side", 4.0);
-    gspec.r = r;
-    return graph::random_geometric(gspec, rng);
+  if (!ok) {
+    reject("topology", "malformed spec '" + text +
+                           "' (valid: grid:COLSxROWS, geometric:N, clique:K, "
+                           "star:K, line:K)");
   }
-  if (fam == "clique") return graph::clique_cluster(k);
-  if (fam == "star") return graph::star_ring(k, r);
-  if (fam == "line") return graph::line(k, flags.num("spacing", 1.0), r);
-  return bad();
 }
 
-graph::DualGraph build_network(const Flags& flags, Rng& rng) {
+/// Compiles the flags into the one scn::ScenarioSpec every subcommand
+/// builds from.  Every grammar, domain and vertex bound is checked here,
+/// so bad input exits 2 naming its flag before any setup runs.
+scn::ScenarioSpec compile_spec(const Flags& flags) {
+  scn::ScenarioSpec spec;
+  scn::TopologySpec& t = spec.topology;
+  t.n = static_cast<std::size_t>(flags.uint("n", t.n));
+  t.side = flags.num("side", t.side);
+  t.r = flags.num("r", t.r);
+  t.cols = static_cast<std::size_t>(flags.uint("cols", t.cols));
+  t.rows = static_cast<std::size_t>(flags.uint("rows", t.rows));
+  t.spacing = flags.num("spacing", t.spacing);
+  t.k = static_cast<std::size_t>(flags.uint("k", t.k));
   if (flags.flag("topology")) {
     if (flags.flag("type")) {
-      std::cerr << "dglab: --topology and --type are mutually exclusive "
-                   "(the alias already names the family)\n";
-      std::exit(2);
+      fail("--topology and --type are mutually exclusive (the alias "
+           "already names the family)");
     }
-    return build_network_alias(flags, rng);
+    compile_alias(flags.str("topology", ""), t);
+  } else {
+    t.type = flags.str("type", t.type);
+    if (std::find(std::begin(kTypes), std::end(kTypes), t.type) ==
+        std::end(kTypes)) {
+      // A typo like --type=cliqe must not silently run the default family.
+      std::string valid;
+      for (const char* type : kTypes) {
+        valid += std::string(valid.empty() ? "" : ", ") + type;
+      }
+      fail("unknown --type '" + t.type + "' (valid: " + valid + ")");
+    }
   }
-  const std::string type = flags.str("type", "geometric");
-  const double r = flags.num("r", 1.5);
-  const auto k = static_cast<std::size_t>(flags.uint("k", 16));
-  if (type == "grid") {
-    return graph::grid(static_cast<std::size_t>(flags.uint("cols", 6)),
-                       static_cast<std::size_t>(flags.uint("rows", 4)),
-                       flags.num("spacing", 1.0), r);
+  // kDomains already holds side, spacing and r >= 1; what is left is
+  // bridged's r >= 1.2.
+  check("r", scn::validate_topology(t));
+  spec.seed = flags.uint("seed", spec.seed);
+  spec.scheduler = flags.str("sched", spec.scheduler);
+  check("sched", scn::validate_scheduler_spec(spec.scheduler));
+  spec.channel = flags.str("channel", spec.channel);
+  check("channel", phys::parse_channel_spec(spec.channel, spec.channel_spec));
+  spec.traffic = flags.str("traffic", "");
+  if (!spec.traffic.empty()) {
+    if (flags.flag("senders")) {
+      fail("--senders and --traffic are mutually exclusive (use "
+           "--traffic=saturate:count for spread senders)");
+    }
+    check("traffic",
+          traffic::parse_traffic_spec(spec.traffic, spec.traffic_spec));
+  } else if (flags.flag("traffic-cap")) {
+    fail("--traffic-cap needs --traffic= (the keep-busy default has no "
+         "admission queue)");
   }
-  if (type == "clique") return graph::clique_cluster(k);
-  if (type == "star") return graph::star_ring(k, r);
-  if (type == "line") return graph::line(k, flags.num("spacing", 1.0), r);
-  if (type != "geometric") {
-    // A typo like --type=cliqe must not silently run the default family.
-    std::cerr << "dglab: unknown --type '" << type
-              << "' (valid: geometric, grid, clique, star, line)\n";
-    std::exit(2);
+  spec.faults = flags.str("faults", "");
+  if (!spec.faults.empty()) {
+    check("faults", fault::parse_fault_spec(spec.faults, spec.fault_spec));
   }
-  graph::GeometricSpec spec;
-  spec.n = static_cast<std::size_t>(flags.uint("n", 64));
-  spec.side = flags.num("side", 4.0);
-  spec.r = r;
-  return graph::random_geometric(spec, rng);
-}
-
-/// --sched goes through the shared scn grammar, so a typo like
-/// --sched=bernouli:0.5 is rejected with the list of valid specs instead
-/// of silently running the Bernoulli default.
-std::unique_ptr<sim::LinkScheduler> build_scheduler(const Flags& flags) {
-  const std::string spec = flags.str("sched", "bernoulli:0.5");
-  const std::string error = scn::validate_scheduler_spec(spec);
-  if (!error.empty()) {
-    std::cerr << "dglab: --sched: " << error << "\n";
-    std::exit(2);
+  if (flags.flag("splice")) {
+    sim::SpliceSpec splice;
+    std::string err;
+    if (!sim::parse_splice_spec(flags.str("splice", ""), splice, err)) {
+      reject("splice", err);
+    }
+    spec.stages = {flags.str("splice", "")};
   }
-  return scn::build_scheduler(spec);
-}
-
-/// Parses --channel=dual | sinr:alpha,beta,noise via the shared
-/// phys::parse_channel_spec grammar.  Returns nullptr for the default
-/// dual-graph reception (the scheduler decides the round topology); for
-/// sinr, the graph must carry a plane embedding.  Exits with a message on
-/// a malformed spec or a missing embedding (bad CLI input gets exit 2
-/// instead of the SinrChannel constructor's contract abort).
-std::unique_ptr<phys::ChannelModel> build_channel(const Flags& flags,
-                                                  const graph::DualGraph& g) {
-  phys::ChannelSpec spec;
-  const std::string error =
-      phys::parse_channel_spec(flags.str("channel", "dual"), spec);
-  if (!error.empty()) {
-    std::cerr << "dglab: --channel: " << error << "\n";
-    std::exit(2);
+  if (flags.flag("round-threads")) {
+    // The shared scn validator: dglab and dgcampaign reject identically.
+    const std::string err = scn::validate_round_threads_value(
+        flags.str("round-threads", ""), spec.round_threads);
+    if (!err.empty()) fail("--" + err);
   }
-  if (!spec.is_sinr) return nullptr;
-  if (!g.embedding().has_value()) {
-    std::cerr << "dglab: --channel=sinr needs an embedded topology "
-                 "(geometric, grid, star, or line)\n";
-    std::exit(2);
+  spec.algorithm.eps1 = flags.num("eps", spec.algorithm.eps1);
+  spec.algorithm.seed_eps = std::min(0.25, spec.algorithm.eps1);
+  spec.algorithm.ack_scale = flags.num("ack-scale", spec.algorithm.ack_scale);
+  if (const scn::SpecViolation v = scn::check_vertex_bounds(spec); !v.ok()) {
+    reject(v.key, v.message);
   }
-  return std::make_unique<phys::SinrChannel>(spec.sinr);
+  return spec;
 }
 
 /// Parses --trace-rounds=LO:HI / --trace-vertices=v1,v2,... into a sink
@@ -397,54 +376,46 @@ obs::TraceSink::Filter trace_filter_flags(const Flags& flags) {
     std::uint64_t lo = 0, hi = 0;
     if (colon == std::string::npos || !parse_uint(s.substr(0, colon), lo) ||
         !parse_uint(s.substr(colon + 1), hi) || lo > hi) {
-      std::cerr << "dglab: --trace-rounds needs LO:HI with LO <= HI; got '"
-                << s << "'\n";
-      std::exit(2);
+      fail("--trace-rounds needs LO:HI with LO <= HI; got '" + s + "'");
     }
     f.round_lo = static_cast<std::int64_t>(lo);
     f.round_hi = static_cast<std::int64_t>(hi);
   }
   if (flags.flag("trace-vertices")) {
     for (const std::string& v : split(flags.str("trace-vertices", ""), ',')) {
-      std::uint64_t parsed = 0;
-      if (!parse_uint(v, parsed)) {
-        std::cerr << "dglab: --trace-vertices needs a comma-separated "
-                     "vertex list; got '" << v << "'\n";
-        std::exit(2);
+      if (!parse_uint(v, f.vertices.emplace_back())) {
+        fail("--trace-vertices needs a comma-separated vertex list; got '" +
+             v + "'");
       }
-      f.vertices.push_back(static_cast<std::uint32_t>(parsed));
     }
   }
   return f;
 }
 
-bool write_file(const std::string& path, const std::string& content) {
+/// Writes `content` to the file `flag` names and returns the path,
+/// exiting 2 when the file cannot be written.
+std::string write_output(const Flags& flags, const char* flag,
+                         const std::string& content) {
+  const std::string path = flags.str(flag, "");
   std::ofstream os(path);
-  if (!os) return false;
-  os << content;
-  return static_cast<bool>(os);
+  if (!(os << content)) reject(flag, "cannot write '" + path + "'");
+  return path;
 }
 
-/// Builds the LB simulation with --channel deciding reception: an explicit
-/// channel model when one is requested, the dual-graph scheduler otherwise.
-std::unique_ptr<lb::LbSimulation> make_simulation(const Flags& flags,
-                                                  const graph::DualGraph& g,
-                                                  const lb::LbParams& params,
-                                                  std::uint64_t master) {
-  auto channel = build_channel(flags, g);
-  std::unique_ptr<lb::LbSimulation> sim;
-  if (channel != nullptr) {
-    sim = std::make_unique<lb::LbSimulation>(g, std::move(channel), params,
-                                             master);
-  } else {
-    sim = std::make_unique<lb::LbSimulation>(g, build_scheduler(flags), params,
-                                             master);
+/// The spec's network, from the trial's master stream.  SINR reception is
+/// checked against the built graph's embedding, so any family that
+/// carries one (the clique included) runs it.
+graph::DualGraph build_network(const scn::ScenarioSpec& spec) {
+  Rng rng(spec.seed);
+  graph::DualGraph g = scn::build_topology(spec.topology, rng);
+  if (spec.channel_spec.is_sinr && !g.embedding().has_value()) {
+    fail("--channel=sinr needs an embedded topology (geometric, grid, "
+         "clique, star, line or bridged); got '" + spec.topology.type + "'");
   }
-  sim->configure(engine_config_flags(flags));
-  return sim;
+  return g;
 }
 
-void describe(const graph::DualGraph& g, const Flags& flags) {
+void describe(const graph::DualGraph& g) {
   std::cout << "network: n=" << g.size() << " Delta=" << g.delta()
             << " Delta'=" << g.delta_prime()
             << " unreliable-edges=" << g.unreliable_edge_count() << "\n";
@@ -455,15 +426,13 @@ void describe(const graph::DualGraph& g, const Flags& flags) {
                       : "INVALID")
               << "\n";
   }
-  (void)flags;
 }
 
 // ---- subcommands ----
 
-int cmd_net(const Flags& flags) {
-  Rng rng(flags.uint("seed", 1));
-  const auto g = build_network(flags, rng);
-  describe(g, flags);
+int cmd_net(const scn::ScenarioSpec& spec) {
+  const auto g = build_network(spec);
+  describe(g);
   // Degree histogram.
   std::map<std::size_t, std::size_t> hist;
   for (graph::Vertex v = 0; v < g.size(); ++v) {
@@ -478,45 +447,18 @@ int cmd_net(const Flags& flags) {
   return 0;
 }
 
-int cmd_seed(const Flags& flags) {
-  const std::uint64_t master = flags.uint("seed", 1);
-  Rng rng(master);
-  const auto g = build_network(flags, rng);
-  describe(g, flags);
-  const double eps = std::min(0.25, flags.num("eps", 0.1));
-  const auto params = seed::SeedAlgParams::make(eps, g.delta());
-  std::cout << "SeedAlg(eps=" << eps << "): " << params.num_phases
+int cmd_seed(const scn::ScenarioSpec& spec) {
+  const auto g = build_network(spec);
+  describe(g);
+  const auto params =
+      seed::SeedAlgParams::make(spec.algorithm.seed_eps, g.delta());
+  std::cout << "SeedAlg(eps=" << spec.algorithm.seed_eps << "): " << params.num_phases
             << " phases x " << params.phase_length << " rounds = "
             << params.total_rounds() << " rounds\n";
-
-  const auto ids = sim::assign_ids(g.size(), derive_seed(master, 1));
-  auto channel = build_channel(flags, g);
-  std::vector<std::unique_ptr<sim::Process>> procs;
-  Rng init(derive_seed(master, 2));
-  for (graph::Vertex v = 0; v < g.size(); ++v) {
-    procs.push_back(std::make_unique<seed::SeedProcess>(params, ids[v], init));
-  }
-  std::unique_ptr<sim::LinkScheduler> sched;
-  std::unique_ptr<sim::Engine> engine;
-  if (channel != nullptr) {
-    engine = std::make_unique<sim::Engine>(g, *channel, std::move(procs),
-                                           derive_seed(master, 3));
-  } else {
-    sched = build_scheduler(flags);
-    engine = std::make_unique<sim::Engine>(g, *sched, std::move(procs),
-                                           derive_seed(master, 3));
-  }
-  std::cout << "channel: " << engine->channel().name() << "\n";
-  engine->configure(engine_config_flags(flags));
-  engine->run_rounds(params.total_rounds());
-
-  seed::DecisionVector decisions(g.size());
-  for (graph::Vertex v = 0; v < g.size(); ++v) {
-    decisions[v] =
-        dynamic_cast<const seed::SeedProcess&>(engine->process(v)).decision();
-  }
-  const auto res = seed::check_seed_spec(g, ids, decisions);
-  std::cout << "spec: well-formed=" << (res.well_formed ? "OK" : "FAIL")
+  const scn::SeedCheck check = scn::run_seed_check(spec, g, spec.seed);
+  const seed::SeedSpecResult& res = check.result;
+  std::cout << "channel: " << check.channel << "\n"
+            << "spec: well-formed=" << (res.well_formed ? "OK" : "FAIL")
             << " consistent=" << (res.consistent ? "OK" : "FAIL")
             << " owners-local=" << (res.owners_local ? "OK" : "FAIL") << "\n"
             << "distinct owners: " << res.distinct_owners
@@ -525,43 +467,29 @@ int cmd_seed(const Flags& flags) {
   return res.well_formed && res.consistent ? 0 : 1;
 }
 
-int cmd_run(const Flags& flags) {
-  const std::uint64_t master = flags.uint("seed", 1);
-  Rng rng(master);
-  const auto g = build_network(flags, rng);
-  describe(g, flags);
+int cmd_run(const Flags& flags, const scn::ScenarioSpec& spec) {
+  const bool want_metrics = flags.flag("metrics-out");
+  const bool want_trace = flags.flag("trace-out");
+  obs::Registry registry;  // backs --trace-out's profiler even without
+                           // --metrics-out; only written when asked for
+  const auto sink = want_trace ? std::make_unique<obs::TraceSink>(
+                                     trace_filter_flags(flags))
+                               : nullptr;
 
-  lb::LbScales scales;
-  scales.ack_scale = flags.num("ack-scale", 0.02);
-  auto params = lb::LbParams::calibrated(flags.num("eps", 0.1),
-                                         std::max(1.0, g.r()), g.delta(),
-                                         g.delta_prime(), scales);
+  const auto g = build_network(spec);
+  describe(g);
+  auto params = scn::lb_params_for(spec.algorithm, g);
   params.phases_per_seed = static_cast<int>(flags.uint("reuse", 1));
   params.use_shared_seeds = !flags.flag("ablate");
-
   std::cout << "LBAlg: T_s=" << params.t_s << " T_prog=" << params.t_prog
             << " phase=" << params.phase_length()
             << " group=" << params.group_length()
             << " T_ack=" << params.t_ack_phases << " phases"
             << (params.use_shared_seeds ? "" : "  [ABLATED]") << "\n";
 
-  auto sim_ptr = make_simulation(flags, g, params, master);
+  const auto sim_ptr = scn::build_lb_simulation(spec, g, params, spec.seed);
   lb::LbSimulation& sim = *sim_ptr;
   std::cout << "channel: " << sim.engine().channel().name() << "\n";
-
-  const bool want_metrics = flags.flag("metrics-out");
-  const bool want_trace = flags.flag("trace-out");
-  if (!want_trace &&
-      (flags.flag("trace-rounds") || flags.flag("trace-vertices"))) {
-    std::cerr << "dglab: --trace-rounds/--trace-vertices need --trace-out=\n";
-    std::exit(2);
-  }
-  obs::Registry registry;  // backs --trace-out's profiler even without
-                           // --metrics-out; only written when asked for
-  std::unique_ptr<obs::TraceSink> sink;
-  if (want_trace) {
-    sink = std::make_unique<obs::TraceSink>(trace_filter_flags(flags));
-  }
 
   sim::TraceRecorder trace(static_cast<std::size_t>(
       std::max<std::uint64_t>(1, flags.uint("trace", 16))));
@@ -576,40 +504,12 @@ int cmd_run(const Flags& flags) {
     sim.configure(sim::EngineConfig{}.with_telemetry(&registry, sink.get()));
   }
 
-  const std::string traffic_str = flags.str("traffic", "");
-  // Flag combinations that would otherwise be silently ignored are
-  // rejected (the same policy as unknown flags).
-  if (traffic_str.empty() && flags.flag("traffic-cap")) {
-    std::cerr << "dglab: --traffic-cap needs --traffic= (the keep-busy "
-                 "default has no admission queue)\n";
-    std::exit(2);
-  }
-  if (!traffic_str.empty() && flags.flag("senders")) {
-    std::cerr << "dglab: --senders and --traffic are mutually exclusive "
-                 "(use --traffic=saturate:count for spread senders)\n";
-    std::exit(2);
-  }
-  if (!traffic_str.empty()) {
-    traffic::TrafficSpec tspec;
-    const std::string error = traffic::parse_traffic_spec(traffic_str, tspec);
-    if (!error.empty()) {
-      std::cerr << "dglab: --traffic: " << error << "\n";
-      std::exit(2);
-    }
-    const bool counted = tspec.kind == traffic::TrafficSpec::Kind::kSaturate ||
-                         tspec.kind == traffic::TrafficSpec::Kind::kBurst;
-    if ((counted && tspec.count > g.size()) ||
-        (tspec.kind == traffic::TrafficSpec::Kind::kHotspot &&
-         tspec.hot >= g.size())) {
-      std::cerr << "dglab: --traffic: vertex bound exceeds network size "
-                << g.size() << " in '" << traffic_str << "'\n";
-      std::exit(2);
-    }
+  if (!spec.traffic.empty()) {
     sim.traffic().set_queue_capacity(
         static_cast<std::size_t>(flags.uint("traffic-cap", 0)));
-    sim.add_traffic(
-        traffic::build_source(tspec, g.size(), derive_seed(master, 0x7fcULL)));
-    std::cout << "traffic: " << traffic_str << "\n";
+    sim.add_traffic(traffic::build_source(spec.traffic_spec, g.size(),
+                                          derive_seed(spec.seed, 0x7fcULL)));
+    std::cout << "traffic: " << spec.traffic << "\n";
   } else {
     const auto senders =
         std::min<std::uint64_t>(flags.uint("senders", 2), g.size());
@@ -618,27 +518,11 @@ int cmd_run(const Flags& flags) {
           static_cast<std::size_t>(senders), g.size()));
     }
   }
-  const std::string faults_str = flags.str("faults", "");
   std::unique_ptr<fault::FaultPlan> plan;  // must outlive the run
-  if (!faults_str.empty()) {
-    fault::FaultSpec fspec;
-    const std::string error = fault::parse_fault_spec(faults_str, fspec);
-    if (!error.empty()) {
-      std::cerr << "dglab: --faults: " << error << "\n";
-      std::exit(2);
-    }
-    const bool names_vertex = fspec.kind == fault::FaultSpec::Kind::kCrash ||
-                              fspec.kind == fault::FaultSpec::Kind::kRegion;
-    if ((names_vertex && fspec.vertex >= g.size()) ||
-        (fspec.kind == fault::FaultSpec::Kind::kAdversary &&
-         static_cast<std::size_t>(fspec.k) > g.size())) {
-      std::cerr << "dglab: --faults: vertex bound exceeds network size "
-                << g.size() << " in '" << faults_str << "'\n";
-      std::exit(2);
-    }
-    plan = fault::build_fault_plan(fspec);
+  if (!spec.faults.empty()) {
+    plan = fault::build_fault_plan(spec.fault_spec);
     sim.configure(sim::EngineConfig{}.with_fault_plan(plan.get()));
-    std::cout << "faults: " << faults_str << " (" << plan->name()
+    std::cout << "faults: " << spec.faults << " (" << plan->name()
               << " plan)\n";
   }
   sim.run_phases(static_cast<std::int64_t>(flags.uint("phases", 30)));
@@ -655,7 +539,7 @@ int cmd_run(const Flags& flags) {
             << "  reliability: " << r.reliability.successes() << "/"
             << r.reliability.trials() << "   progress: "
             << r.progress.successes() << "/" << r.progress.trials() << "\n";
-  if (!traffic_str.empty()) {
+  if (!spec.traffic.empty()) {
     const traffic::TrafficStats& ts = sim.traffic().stats();
     // --phases=0 runs no rounds; report 0 rates instead of dividing by 0.
     const double rounds = std::max(1.0, static_cast<double>(sim.round()));
@@ -673,7 +557,7 @@ int cmd_run(const Flags& flags) {
                 << "  re-admitted after recovery: " << ts.readmitted << "\n";
     }
   }
-  if (!faults_str.empty()) {
+  if (!spec.faults.empty()) {
     // The graceful-degradation ledger: spec tallies above cover only
     // fault-free windows; everything a fault touched degrades into here.
     const lb::DegradationLedger& led = sim.ledger();
@@ -698,28 +582,21 @@ int cmd_run(const Flags& flags) {
     trace.print(std::cout);
   }
   if (want_metrics) {
-    const std::string path = flags.str("metrics-out", "");
-    if (!write_file(path, registry.json())) {
-      std::cerr << "dglab: --metrics-out: cannot write '" << path << "'\n";
-      return 2;
-    }
+    const std::string path =
+        write_output(flags, "metrics-out", registry.json());
     std::cout << "metrics: " << registry.size() << " series -> " << path
               << "\n";
   }
   if (want_trace) {
     obs::export_recorder(trace, *sink);
-    const std::string path = flags.str("trace-out", "");
-    if (!write_file(path, sink->json())) {
-      std::cerr << "dglab: --trace-out: cannot write '" << path << "'\n";
-      return 2;
-    }
+    const std::string path = write_output(flags, "trace-out", sink->json());
     std::cout << "trace: " << sink->event_count() << " events -> " << path
               << "\n";
   }
   return r.timely_ack_ok && r.validity_ok ? 0 : 1;
 }
 
-int cmd_sweep(const Flags& flags) {
+int cmd_sweep(const Flags& flags, scn::ScenarioSpec spec) {
   Table table({"Delta", "phase", "progress mean (rounds)",
                "reliability", "progress freq"});
   const std::string deltas = flags.str("deltas", "4,8,16,32");
@@ -728,27 +605,25 @@ int cmd_sweep(const Flags& flags) {
     // A clique of one has Delta = 0, which no LBAlg calibration admits.
     std::uint64_t clique = 0;
     if (!parse_uint(ds, clique) || clique < 2) {
-      std::cerr << "dglab: --deltas needs comma-separated clique sizes "
-                   ">= 2; got '" << deltas << "'\n";
-      std::exit(2);
+      fail("--deltas needs comma-separated clique sizes >= 2; got '" +
+           deltas + "'");
     }
     cliques.push_back(static_cast<std::size_t>(clique));
   }
+  // The sweep calibrates at r = 1.5 whatever the graph: the auto r of a
+  // clique would be 1.0.
+  spec.algorithm.r = 1.5;
   for (const std::size_t clique : cliques) {
     const auto g = graph::clique_cluster(clique);
-    lb::LbScales scales;
-    scales.ack_scale = flags.num("ack-scale", 0.02);
-    const auto params = lb::LbParams::calibrated(
-        flags.num("eps", 0.1), 1.5, g.delta(), g.delta_prime(), scales);
-    auto sim_ptr = make_simulation(flags, g, params, flags.uint("seed", 1));
-    lb::LbSimulation& sim = *sim_ptr;
-    sim.keep_busy({0});
-    sim.run_phases(static_cast<std::int64_t>(flags.uint("phases", 20)));
-    const auto& r = sim.report();
+    const auto params = scn::lb_params_for(spec.algorithm, g);
+    const auto sim = scn::build_lb_simulation(spec, g, params, spec.seed);
+    sim->keep_busy({0});
+    sim->run_phases(static_cast<std::int64_t>(flags.uint("phases", 20)));
+    const auto& r = sim->report();
     // Mean first-reception latency across completed broadcasts.
     double total = 0;
     std::size_t count = 0;
-    for (const auto& rec : sim.checker().broadcasts()) {
+    for (const auto& rec : sim->checker().broadcasts()) {
       for (const auto& [v, round] : rec.recv_rounds) {
         total += static_cast<double>(round - rec.input_round);
         ++count;
@@ -817,27 +692,28 @@ int main(int argc, char** argv) {
   if (cmd != "run" &&
       (flags.flag("traffic") || flags.flag("traffic-cap") ||
        flags.flag("faults"))) {
-    std::cerr << "dglab: --traffic/--traffic-cap/--faults only apply to "
-                 "the 'run' subcommand\n";
-    return 2;
+    fail("--traffic/--traffic-cap/--faults only apply to the 'run' "
+         "subcommand");
   }
   if (cmd == "net" && flags.flag("splice")) {
-    std::cerr << "dglab: --splice only applies to the run/sweep/seed "
-                 "subcommands (net builds no engine)\n";
-    return 2;
+    fail("--splice only applies to the run/sweep/seed subcommands (net "
+         "builds no engine)");
   }
   if (cmd != "run" &&
       (flags.flag("metrics-out") || flags.flag("trace-out") ||
        flags.flag("trace-rounds") || flags.flag("trace-vertices"))) {
-    std::cerr << "dglab: the telemetry flags (--metrics-out/--trace-out/"
-                 "--trace-rounds/--trace-vertices) only apply to the 'run' "
-                 "subcommand\n";
-    return 2;
+    fail("the telemetry flags (--metrics-out/--trace-out/--trace-rounds/"
+         "--trace-vertices) only apply to the 'run' subcommand");
   }
-  if (cmd == "net") return cmd_net(flags);
-  if (cmd == "seed") return cmd_seed(flags);
-  if (cmd == "run") return cmd_run(flags);
-  if (cmd == "sweep") return cmd_sweep(flags);
+  if (!flags.flag("trace-out") &&
+      (flags.flag("trace-rounds") || flags.flag("trace-vertices"))) {
+    fail("--trace-rounds/--trace-vertices need --trace-out=");
+  }
+  const scn::ScenarioSpec spec = compile_spec(flags);
+  if (cmd == "net") return cmd_net(spec);
+  if (cmd == "seed") return cmd_seed(spec);
+  if (cmd == "run") return cmd_run(flags, spec);
+  if (cmd == "sweep") return cmd_sweep(flags, spec);
   usage();
   return 2;
 }
