@@ -20,8 +20,10 @@
 //
 // Contract: each round the engine first asks fill_frontier() for a
 // conservative superset of the vertices that could hear anything (the
-// frontier; or it uses every vertex), then compute_round() fills heard[u]
-// for every frontier vertex u with a packed word -- high 32 bits = the
+// frontier; or it uses every vertex), then compute_round() -- or, in a
+// sharded round, prepare_round() once and compute_shard() per vertex
+// block; every channel implements both paths -- fills heard[u] for every
+// frontier vertex u with a packed word -- high 32 bits = the
 // vertex most recently heard from, low 32 bits = the number of decodable
 // senders at u.  The engine interprets count == 1 as a delivery from the
 // packed sender, count == 0 as silence and count > 1 as a collision (both
@@ -95,13 +97,6 @@ class ChannelModel {
     DG_EXPECTS(!"this channel model does not support adaptive adversaries");
   }
 
-  /// True when this channel supports the sharded reception path:
-  /// prepare_round() once per round, then compute_shard() over disjoint
-  /// receiver ranges, possibly concurrently.  Channels that keep per-round
-  /// mutable scratch keyed by receiver must overload both; the default
-  /// (false) keeps the engine on the serial compute_round() path.
-  virtual bool shardable() const { return false; }
-
   /// Serial per-round setup for the sharded path: everything that depends
   /// only on (round, transmit set) -- scheduler strategy selection, edge
   /// bitmap fills, transmitter bucketing -- happens here, once, before the
@@ -126,17 +121,13 @@ class ChannelModel {
   /// disjoint ranges; must write nothing outside its range and must equal
   /// compute_round() bit-for-bit on the union of the ranges.  `heard` is
   /// the full vertex-indexed span (pre-zeroed over [begin, end)).  The
-  /// engine calls it only over runs of non-zero frontier words.
+  /// engine calls it only over runs of non-zero frontier words.  Every
+  /// channel supports sharded rounds: one that keeps per-round mutable
+  /// scratch keyed by receiver stages it in prepare_round() and keeps the
+  /// per-call part thread-local.
   virtual void compute_shard(sim::Round round, const Bitmap& transmitting,
                              std::span<std::uint64_t> heard,
-                             graph::Vertex begin, graph::Vertex end) {
-    (void)round;
-    (void)transmitting;
-    (void)heard;
-    (void)begin;
-    (void)end;
-    DG_EXPECTS(!"this channel model does not implement sharded reception");
-  }
+                             graph::Vertex begin, graph::Vertex end) = 0;
 
   /// Whether deliveries are confined to edges of the bound dual graph.
   /// True for DualGraphChannel (the Section 2 rule *is* the graph);

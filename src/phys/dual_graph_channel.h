@@ -46,7 +46,6 @@ class DualGraphChannel final : public ChannelModel {
   /// the scatter's last writer is the largest transmitting neighbor because
   /// for_each_set scans ascending.  The serial compute_round() keeps the
   /// scatter form, which is faster when rounds are sparse in transmitters.
-  bool shardable() const override { return true; }
   void prepare_round(sim::Round round, const Bitmap& transmitting) override;
   void compute_shard(sim::Round round, const Bitmap& transmitting,
                      std::span<std::uint64_t> heard, graph::Vertex begin,

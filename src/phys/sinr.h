@@ -89,7 +89,6 @@ class SinrChannel final : public ChannelModel {
   /// range with thread-local candidate scratch.  Per-receiver arithmetic
   /// and accumulation order are identical to the serial pass, so the
   /// floating-point verdicts match bit for bit.
-  bool shardable() const override { return true; }
   /// The far-field precompute (per receiver cell, disjoint writes, inner
   /// accumulation order unchanged) shards over the engine's pool when one
   /// is installed -- bit-identical to the serial pass at any thread count.

@@ -1,9 +1,11 @@
 #include "scn/scenario.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <initializer_list>
+#include <iterator>
 #include <set>
 #include <sstream>
 
@@ -199,10 +201,9 @@ const std::set<std::string> kAlgorithmTypes = {
 const char* kValidAlgorithmTypes =
     "lb_progress, decay_progress, seed_agreement, seed_then_progress, "
     "abstraction_fidelity, traffic_latency, lb_churn";
-/// Topology families that attach a plane embedding (required by SINR
-/// reception).
-const std::set<std::string> kEmbeddedTopologies = {
-    "geometric", "grid", "star", "line", "bridged"};
+/// Topology families whose built graph carries a plane embedding.
+constexpr const char* kEmbeddedTopologies[] = {
+    "geometric", "grid", "clique", "star", "line", "bridged"};
 
 bool parse_topology(Ctx& ctx, const json::Value& v, const std::string& path,
                     TopologySpec& out) {
@@ -354,11 +355,10 @@ bool validate_semantics(Ctx& ctx, const json::Value& at,
                       "algorithm '" + a.type +
                           "' supports only the dual_graph channel");
     }
-    if (kEmbeddedTopologies.find(spec.topology.type) ==
-        kEmbeddedTopologies.end()) {
+    if (!topology_has_embedding(spec.topology.type)) {
       return ctx.fail(at, path,
-                      "channel 'sinr' needs an embedded topology "
-                      "(geometric, grid, star, line, bridged); got '" +
+                      "channel 'sinr' needs an embedded topology (" +
+                          embedded_topology_types() + "); got '" +
                           spec.topology.type + "'");
     }
   }
@@ -760,6 +760,20 @@ std::unique_ptr<sim::LinkScheduler> build_scheduler(const std::string& spec) {
         /*pivot=*/arg(2, 1.0 / 16.0));
   }
   return std::make_unique<sim::BernoulliScheduler>(arg(1, 0.5));
+}
+
+bool topology_has_embedding(const std::string& type) {
+  return std::find(std::begin(kEmbeddedTopologies),
+                   std::end(kEmbeddedTopologies),
+                   type) != std::end(kEmbeddedTopologies);
+}
+
+std::string embedded_topology_types() {
+  std::string out;
+  for (const char* type : kEmbeddedTopologies) {
+    out += std::string(out.empty() ? "" : ", ") + type;
+  }
+  return out;
 }
 
 graph::DualGraph build_topology(const TopologySpec& t, Rng& rng) {

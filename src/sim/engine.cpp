@@ -813,7 +813,7 @@ void Engine::apply_faults(Round t) {
 }
 
 void Engine::run_round() {
-  if (round_threads_ > 1 && all_shard_safe_ && channel_->shardable()) {
+  if (round_threads_ > 1 && all_shard_safe_) {
     const std::size_t block_size = shard_block_size();
     const std::size_t blocks =
         (processes_.size() + block_size - 1) / block_size;

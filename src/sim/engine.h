@@ -24,11 +24,11 @@
 // phys/channel.h for the contract).  None of this changes the observable
 // round semantics (tests/determinism_test.cpp pins golden execution
 // digests).
-// Sharded rounds: when round_threads > 1, every process is shard_safe()
-// and the channel is shardable(), run_round() partitions the vertices into
-// cache-aligned blocks (multiples of 64 vertices, so each block owns whole
-// transmit-bitmap words) and runs the transmit, reception and output phases
-// block-parallel on a persistent thread pool.  A serial round is the same
+// Sharded rounds: when round_threads > 1 and every process is shard_safe(),
+// run_round() partitions the vertices into cache-aligned blocks (multiples
+// of 64 vertices, so each block owns whole transmit-bitmap words) and runs
+// the transmit, reception and output phases block-parallel on a persistent
+// thread pool.  A serial round is the same
 // dispatch with one block, [0, n).  Determinism is preserved structurally,
 // not by scheduling: blocks write disjoint per-vertex state, each vertex
 // draws only from its own rng stream, the channel's sharded reception
@@ -180,10 +180,10 @@ class Engine {
 
   /// Round thread cap (in [1, kMaxRoundThreads]; 1 = serial rounds), set
   /// through EngineConfig::with_round_threads.  The engine still runs
-  /// serial whenever the vertex count yields fewer than two blocks, a
-  /// process was not shard_safe() at construction or the channel is not
-  /// shardable() -- the knob is an upper bound, never a semantics switch
-  /// (results are byte-identical for every value).
+  /// serial whenever the vertex count yields fewer than two blocks or a
+  /// process was not shard_safe() at construction -- the knob is an upper
+  /// bound, never a semantics switch (results are byte-identical for every
+  /// value).
   std::size_t round_threads() const noexcept { return round_threads_; }
 
   /// This round's activity mask (Slab::kActivityMask): the vertices whose

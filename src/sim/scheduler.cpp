@@ -1,11 +1,9 @@
 #include "sim/scheduler.h"
 
 #include <cmath>
-#include <type_traits>
 
 #include "util/assert.h"
 #include "util/rng.h"
-#include "util/simd.h"
 
 namespace dg::sim {
 
@@ -24,14 +22,18 @@ void BernoulliScheduler::commit(const graph::DualGraph&, std::uint64_t seed) {
   threshold_ = static_cast<std::uint64_t>(scaled);
 }
 
+bool BernoulliScheduler::hit(std::uint64_t edge, Round round) const {
+  const std::uint64_t h = splitmix64(
+      seed_ ^ splitmix64(edge * 0x100000001b3ULL +
+                         static_cast<std::uint64_t>(round)));
+  return h < threshold_;
+}
+
 bool BernoulliScheduler::active(graph::UnreliableEdgeId edge,
                                 Round round) const {
   if (p_ >= 1.0) return true;
   if (p_ <= 0.0) return false;
-  const std::uint64_t h = splitmix64(
-      seed_ ^ splitmix64(static_cast<std::uint64_t>(edge) * 0x100000001b3ULL +
-                         static_cast<std::uint64_t>(round)));
-  return h < threshold_;
+  return hit(edge, round);
 }
 
 void BernoulliScheduler::fill_round(Round round, EdgeBitmap& out) const {
@@ -43,14 +45,7 @@ void BernoulliScheduler::fill_round(Round round, EdgeBitmap& out) const {
     out.clear();
     return;
   }
-  // Same per-edge hash as active(), vectorized 4 edges per step on AVX2
-  // hardware (scalar word accumulation elsewhere); the kernel is
-  // property-tested bit-for-bit against active() in
-  // tests/scheduler_bitmap_test.cpp.
-  util::simd::fill_hash_threshold(out.words().data(), out.size(), seed_,
-                                  0x100000001b3ULL,
-                                  static_cast<std::uint64_t>(round),
-                                  threshold_);
+  out.fill_from([&](std::size_t e) { return hit(e, round); });
 }
 
 std::string BernoulliScheduler::name() const {
@@ -73,19 +68,19 @@ void FlickerScheduler::commit(const graph::DualGraph& g, std::uint64_t seed) {
   }
 }
 
+bool FlickerScheduler::on(std::size_t edge, Round round) const {
+  return (round + phase_[edge]) % period_ < duty_;
+}
+
 bool FlickerScheduler::active(graph::UnreliableEdgeId edge,
                               Round round) const {
   DG_EXPECTS(edge < phase_.size());
-  const Round pos = (round + phase_[edge]) % period_;
-  return pos < duty_;
+  return on(edge, round);
 }
 
 void FlickerScheduler::fill_round(Round round, EdgeBitmap& out) const {
   DG_EXPECTS(out.size() <= phase_.size());
-  static_assert(std::is_same_v<Round, std::int64_t>);
-  const Round base = round % period_;
-  util::simd::fill_flicker(out.words().data(), out.size(), phase_.data(),
-                           base, period_, duty_);
+  out.fill_from([&](std::size_t e) { return on(e, round); });
 }
 
 std::string FlickerScheduler::name() const {
@@ -108,14 +103,20 @@ void BurstScheduler::commit(const graph::DualGraph&, std::uint64_t seed) {
   threshold_ = static_cast<std::uint64_t>(scaled);
 }
 
+std::uint64_t BurstScheduler::epoch(Round round) const {
+  return static_cast<std::uint64_t>((round - 1) / epoch_length_);
+}
+
+bool BurstScheduler::up(std::uint64_t edge, std::uint64_t epoch) const {
+  const std::uint64_t h =
+      splitmix64(seed_ ^ splitmix64(edge * 0x9e3779b1ULL + epoch));
+  return h < threshold_;
+}
+
 bool BurstScheduler::active(graph::UnreliableEdgeId edge, Round round) const {
   if (p_up_ >= 1.0) return true;
   if (p_up_ <= 0.0) return false;
-  const auto epoch = static_cast<std::uint64_t>((round - 1) / epoch_length_);
-  const std::uint64_t h = splitmix64(
-      seed_ ^ splitmix64(static_cast<std::uint64_t>(edge) * 0x9e3779b1ULL +
-                         epoch));
-  return h < threshold_;
+  return up(edge, epoch(round));
 }
 
 void BurstScheduler::fill_round(Round round, EdgeBitmap& out) const {
@@ -127,9 +128,8 @@ void BurstScheduler::fill_round(Round round, EdgeBitmap& out) const {
     out.clear();
     return;
   }
-  const auto epoch = static_cast<std::uint64_t>((round - 1) / epoch_length_);
-  util::simd::fill_hash_threshold(out.words().data(), out.size(), seed_,
-                                  0x9e3779b1ULL, epoch, threshold_);
+  const std::uint64_t k = epoch(round);
+  out.fill_from([&](std::size_t e) { return up(e, k); });
 }
 
 std::string BurstScheduler::name() const {

@@ -13,6 +13,9 @@
 // instead of a virtual active() call.  fill_round() must agree bit-for-bit
 // with active() (tests/scheduler_bitmap_test.cpp sweeps the contract);
 // active() remains the semantic definition and the default implementation.
+// The per-edge schedulers (Bernoulli, Flicker, Burst) fill through
+// Bitmap::fill_from over the same private predicate their active() calls,
+// so the bulk path cannot drift from the definition.
 #pragma once
 
 #include <cstdint>
@@ -109,6 +112,10 @@ class BernoulliScheduler final : public LinkScheduler {
   std::string name() const override;
 
  private:
+  /// The per-(edge, round) coin of a non-degenerate p; active() and
+  /// fill_round() both evaluate it.
+  bool hit(std::uint64_t edge, Round round) const;
+
   double p_;
   std::uint64_t seed_ = 0;
   std::uint64_t threshold_ = 0;
@@ -127,6 +134,9 @@ class FlickerScheduler final : public LinkScheduler {
   std::string name() const override;
 
  private:
+  /// The flicker phase test that active() and fill_round() both evaluate.
+  bool on(std::size_t edge, Round round) const;
+
   Round period_;
   Round duty_;
   std::vector<Round> phase_;
@@ -147,6 +157,12 @@ class BurstScheduler final : public LinkScheduler {
   std::string name() const override;
 
  private:
+  /// The epoch that `round` falls in.
+  std::uint64_t epoch(Round round) const;
+  /// The per-(edge, epoch) coin of a non-degenerate p_up; active() and
+  /// fill_round() both evaluate it.
+  bool up(std::uint64_t edge, std::uint64_t epoch) const;
+
   Round epoch_length_;
   double p_up_;
   std::uint64_t seed_ = 0;

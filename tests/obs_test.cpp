@@ -176,12 +176,12 @@ const Ev* find_event(const std::vector<Ev>& events, const std::string& name) {
 }
 
 const std::vector<std::string> kCoreStages = {
-    "fault", "transmit", "prepare_round", "compute", "receive",
-    "output_flush"};
+    "fault", "transmit", "frontier", "compute", "receive", "output_flush"};
 
 TEST(ObsTraceSink, PhaseSlicesNestInsideTheRoundTick) {
   TraceSink sink;
-  // fault/transmit/prepare/compute/receive/output ns, pipeline order.
+  // fault/transmit/frontier/compute/receive/output_flush ns, pipeline
+  // order.
   sink.round_phases(7, kCoreStages, {0, 3000, 0, 6000, 1000, 0});
 
   const auto events = parse_events(sink);
@@ -198,7 +198,7 @@ TEST(ObsTraceSink, PhaseSlicesNestInsideTheRoundTick) {
   }
   // Proportional split: compute measured 60% of the round.
   EXPECT_EQ(find_event(events, "compute")->dur, 600);
-  EXPECT_EQ(find_event(events, "prepare_round"), nullptr);  // 0 ns: absent
+  EXPECT_EQ(find_event(events, "frontier"), nullptr);  // 0 ns: absent
 }
 
 TEST(ObsTraceSink, MessageSpanChildrenStayInsideTheOuterSlice) {

@@ -5,9 +5,7 @@
 // oblivious-schedule contract.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -17,7 +15,6 @@
 #include "sim/scheduler.h"
 #include "util/bitmap.h"
 #include "util/rng.h"
-#include "util/simd.h"
 
 namespace dg::sim {
 namespace {
@@ -34,24 +31,39 @@ graph::DualGraph unreliable_star(std::size_t edges) {
 }
 
 /// Asserts fill_round == active over `rounds` rounds of the committed
-/// scheduler.
+/// scheduler.  Every fill starts from a poisoned bitmap (all words ~0), so
+/// a fill that leaves stale words or tail bits shows: the bits at or beyond
+/// `edges` in the last word must come out zero, and count() must equal the
+/// number of edges active() reports.
 void expect_bulk_matches_active(const LinkScheduler& sched, std::size_t edges,
                                 Round rounds) {
   EdgeBitmap bulk(edges);
   for (Round t = 1; t <= rounds; ++t) {
+    for (auto& w : bulk.words()) w = ~0ULL;
     sched.fill_round(t, bulk);
+    std::size_t on = 0;
     for (graph::UnreliableEdgeId e = 0;
          e < static_cast<graph::UnreliableEdgeId>(edges); ++e) {
-      ASSERT_EQ(bulk.test(e), sched.active(e, t))
+      const bool active = sched.active(e, t);
+      ASSERT_EQ(bulk.test(e), active)
           << sched.name() << " diverges at edge " << e << ", round " << t
           << ", edges=" << edges;
+      if (active) ++on;
     }
+    if (edges % 64 != 0) {
+      ASSERT_EQ(bulk.words().back() >> (edges % 64), 0ULL)
+          << sched.name() << " leaves tail bits set, round " << t
+          << ", edges=" << edges;
+    }
+    ASSERT_EQ(bulk.count(), on)
+        << sched.name() << " round " << t << ", edges=" << edges;
   }
 }
 
 // Edge counts straddling the 64-bit word boundaries: empty tail, exact
-// words, one-past and one-short.
-const std::size_t kEdgeCounts[] = {1, 3, 63, 64, 65, 127, 128, 130, 200};
+// words, one-past and one-short, and a many-word shape.
+const std::size_t kEdgeCounts[] = {1,   3,   63,  64,  65,
+                                   127, 128, 130, 200, 4099};
 
 TEST(SchedulerBitmap, ConstantMatchesActive) {
   for (bool include_all : {false, true}) {
@@ -149,96 +161,6 @@ TEST(SchedulerBitmap, DefaultFillMatchesActiveForCustomScheduler) {
     OddEdgesScheduler sched;
     sched.commit(g, 0);
     expect_bulk_matches_active(sched, edges, 8);
-  }
-}
-
-// ---- SIMD word kernels ----
-//
-// The dispatching entry points (AVX2 where the CPU has it, NEON on
-// AArch64) must agree word-for-word with the public scalar references,
-// including the
-// zeroed-tail invariant past n_bits.  The scheduler-vs-active() sweeps
-// above already pin the dispatchers against the per-edge contract (the
-// schedulers' fill_round now calls them); these sweeps isolate the
-// vector/scalar boundary itself across word-straddling sizes, so a lane
-// or tail bug cannot hide behind a scheduler's parameter choices.
-
-/// Fills both buffers from poisoned scratch and asserts equality.
-void expect_kernel_words_match(
-    std::size_t n_bits, const std::function<void(std::uint64_t*)>& dispatch,
-    const std::function<void(std::uint64_t*)>& scalar) {
-  const std::size_t n_words = (n_bits + 63) / 64;
-  std::vector<std::uint64_t> a(n_words, ~0ULL), b(n_words, ~0ULL);
-  dispatch(a.data());
-  scalar(b.data());
-  const char* lane = util::simd::have_avx2()   ? " (avx2)"
-                     : util::simd::have_neon() ? " (neon)"
-                                               : " (scalar dispatch)";
-  for (std::size_t w = 0; w < n_words; ++w) {
-    ASSERT_EQ(a[w], b[w]) << "word " << w << ", n_bits=" << n_bits << lane;
-  }
-  // Tail invariant: bits at or beyond n_bits are zero.
-  if (n_bits % 64 != 0) {
-    ASSERT_EQ(a[n_words - 1] >> (n_bits % 64), 0ULL) << "n_bits=" << n_bits;
-  }
-}
-
-TEST(SimdKernels, HashThresholdDispatchMatchesScalar) {
-  // Both scheduler hash shapes: Bernoulli (FNV prime, add = round) and
-  // Burst (golden-ratio 32, add = epoch), plus degenerate thresholds.
-  const std::uint64_t kMuls[] = {0x100000001b3ULL, 0x9e3779b1ULL};
-  const std::uint64_t kThresholds[] = {
-      0ULL, 1ULL, ~0ULL, static_cast<std::uint64_t>(0.15 * 18446744073709551615.0),
-      1ULL << 63, 3ULL << 62};
-  for (std::size_t n_bits : kEdgeCounts) {
-    for (std::uint64_t mul : kMuls) {
-      for (std::uint64_t threshold : kThresholds) {
-        for (std::uint64_t seed : {7ULL, 0xdeadbeefULL}) {
-          for (std::uint64_t add : {0ULL, 1ULL, 63ULL, 1000ULL}) {
-            expect_kernel_words_match(
-                n_bits,
-                [&](std::uint64_t* words) {
-                  util::simd::fill_hash_threshold(words, n_bits, seed, mul,
-                                                  add, threshold);
-                },
-                [&](std::uint64_t* words) {
-                  util::simd::fill_hash_threshold_scalar(words, n_bits, seed,
-                                                         mul, add, threshold);
-                });
-          }
-        }
-      }
-    }
-  }
-}
-
-TEST(SimdKernels, FlickerDispatchMatchesScalar) {
-  for (std::size_t n_bits : kEdgeCounts) {
-    for (std::int64_t period : {1LL, 7LL, 64LL, 100LL}) {
-      // Pseudorandom per-edge phases in [0, period), the committed form.
-      std::vector<std::int64_t> phase(n_bits);
-      std::uint64_t x = 0x9e3779b97f4a7c15ULL + n_bits;
-      for (auto& p : phase) {
-        x = splitmix64(x);
-        p = static_cast<std::int64_t>(x % static_cast<std::uint64_t>(period));
-      }
-      for (std::int64_t duty :
-           {std::int64_t{0}, std::int64_t{1}, period / 2, period}) {
-        for (std::int64_t base = 0; base < period;
-             base += std::max<std::int64_t>(1, period / 5)) {
-          expect_kernel_words_match(
-              n_bits,
-              [&](std::uint64_t* words) {
-                util::simd::fill_flicker(words, n_bits, phase.data(), base,
-                                         period, duty);
-              },
-              [&](std::uint64_t* words) {
-                util::simd::fill_flicker_scalar(words, n_bits, phase.data(),
-                                                base, period, duty);
-              });
-        }
-      }
-    }
   }
 }
 

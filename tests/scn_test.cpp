@@ -7,8 +7,10 @@
 // they subsumed.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "graph/generators.h"
 #include "lb/measure.h"
@@ -204,9 +206,44 @@ TEST(CampaignSchema, WorkloadTopologyMismatchesAreErrors) {
 
   // SINR reception needs an embedded topology.
   p = parse(R"({"campaign": "t", "scenarios": [{"name": "s",
-      "topology": {"type": "clique", "k": 4}, "channel": "sinr"}]})");
+      "topology": {"type": "contention_star", "k": 4}, "channel": "sinr"}]})");
   ASSERT_FALSE(p.ok());
   EXPECT_NE(p.error.find("embedded topology"), std::string::npos);
+
+  // The clique carries one, so it takes SINR (as dglab run does).
+  p = parse(R"({"campaign": "t", "scenarios": [{"name": "s",
+      "topology": {"type": "clique", "k": 8}, "channel": "sinr:3,2,0.1"}]})");
+  EXPECT_TRUE(p.ok()) << p.error;
+}
+
+TEST(CampaignSchema, EmbeddingPredicateMatchesEveryBuiltFamily) {
+  // The family list comes from the parser's own unknown-type message, so a
+  // family added to the schema joins this sweep without editing it.
+  const auto p = parse(R"({"campaign": "t", "scenarios": [{"name": "s",
+      "topology": {"type": "no_such_family"}}]})");
+  ASSERT_FALSE(p.ok());
+  const auto open = p.error.find("(valid: ");
+  ASSERT_NE(open, std::string::npos) << p.error;
+  std::string list = p.error.substr(open + 8);
+  list = list.substr(0, list.find(')'));
+  std::vector<std::string> families;
+  for (std::size_t at = 0; at <= list.size();) {
+    const auto comma = std::min(list.find(", ", at), list.size());
+    families.push_back(list.substr(at, comma - at));
+    at = comma + 2;
+  }
+  ASSERT_GE(families.size(), 8u) << list;
+  for (const std::string& family : families) {
+    if (family == "deployment") continue;  // an embedding with no graph
+    TopologySpec t;
+    t.type = family;
+    Rng rng(1);
+    const auto g = build_topology(t, rng);
+    EXPECT_EQ(g.embedding().has_value(), topology_has_embedding(family))
+        << family;
+  }
+  EXPECT_TRUE(topology_has_embedding("clique"));
+  EXPECT_FALSE(topology_has_embedding("contention_star"));
 }
 
 TEST(CampaignSchema, VertexBoundsAreChecked) {

@@ -327,6 +327,10 @@ scn::ScenarioSpec compile_spec(const Flags& flags) {
   check("sched", scn::validate_scheduler_spec(spec.scheduler));
   spec.channel = flags.str("channel", spec.channel);
   check("channel", phys::parse_channel_spec(spec.channel, spec.channel_spec));
+  if (spec.channel_spec.is_sinr && !scn::topology_has_embedding(t.type)) {
+    fail("--channel=sinr needs an embedded topology (" +
+         scn::embedded_topology_types() + "); got '" + t.type + "'");
+  }
   spec.traffic = flags.str("traffic", "");
   if (!spec.traffic.empty()) {
     if (flags.flag("senders")) {
@@ -402,17 +406,10 @@ std::string write_output(const Flags& flags, const char* flag,
   return path;
 }
 
-/// The spec's network, from the trial's master stream.  SINR reception is
-/// checked against the built graph's embedding, so any family that
-/// carries one (the clique included) runs it.
+/// The spec's network, from the trial's master stream.
 graph::DualGraph build_network(const scn::ScenarioSpec& spec) {
   Rng rng(spec.seed);
-  graph::DualGraph g = scn::build_topology(spec.topology, rng);
-  if (spec.channel_spec.is_sinr && !g.embedding().has_value()) {
-    fail("--channel=sinr needs an embedded topology (geometric, grid, "
-         "clique, star, line or bridged); got '" + spec.topology.type + "'");
-  }
-  return g;
+  return scn::build_topology(spec.topology, rng);
 }
 
 void describe(const graph::DualGraph& g) {

@@ -66,7 +66,7 @@ def main():
         print(f"  event[{index}]: {message}")
 
     last_ts = {}       # (pid, tid) -> last timestamp seen in file order
-    phase_names = {"transmit", "prepare_round", "compute", "receive",
+    phase_names = {"fault", "transmit", "frontier", "compute", "receive",
                    "output_flush"}
     saw_phase = False
     saw_acked_span = False
