@@ -20,9 +20,8 @@
 //
 // Contract: each round the engine first asks fill_frontier() for a
 // conservative superset of the vertices that could hear anything (the
-// frontier; or it uses every vertex), then compute_round() -- or, in a
-// sharded round, prepare_round() once and compute_shard() per vertex
-// block; every channel implements both paths -- fills heard[u] for every
+// frontier; or it uses every vertex), then calls compute_round() once --
+// in serial and sharded rounds alike -- which fills heard[u] for every
 // frontier vertex u with a packed word -- high 32 bits = the
 // vertex most recently heard from, low 32 bits = the number of decodable
 // senders at u.  The engine interprets count == 1 as a delivery from the
@@ -74,17 +73,17 @@ class ChannelModel {
   /// independent superset (it may include vertices that end up hearing
   /// nothing, never the reverse).  Bits already set in `frontier` must be
   /// left set (the engine pre-seeds fault-event vertices).  Called serially
-  /// once per round, before prepare_round()/compute, except in rounds whose
-  /// mask is all-ones.
+  /// once per round, before compute_round(), except in rounds whose mask
+  /// is all-ones.
   virtual void fill_frontier(const Bitmap& transmitting,
                              Bitmap& frontier) = 0;
 
-  /// Serial reception: for each vertex u in a non-zero 64-vertex word of
-  /// `frontier`, writes the packed (heard-from, decodable-sender count)
-  /// word into heard[u].  `heard` is sized to the vertex count and
-  /// pre-zeroed over those words; `frontier` is either fill_frontier()'s
-  /// mask for this round's transmit set or all-ones.  Must write nothing
-  /// outside those words.
+  /// Reception, the channel's one entry per round: for each vertex u in a
+  /// non-zero 64-vertex word of `frontier`, writes the packed (heard-from,
+  /// decodable-sender count) word into heard[u].  `heard` is sized to the
+  /// vertex count and pre-zeroed over those words; `frontier` is either
+  /// fill_frontier()'s mask for this round's transmit set or all-ones.
+  /// Must write nothing outside those words.
   virtual void compute_round(sim::Round round, const Bitmap& transmitting,
                              std::span<std::uint64_t> heard,
                              const Bitmap& frontier) = 0;
@@ -97,37 +96,14 @@ class ChannelModel {
     DG_EXPECTS(!"this channel model does not support adaptive adversaries");
   }
 
-  /// Serial per-round setup for the sharded path: everything that depends
-  /// only on (round, transmit set) -- scheduler strategy selection, edge
-  /// bitmap fills, transmitter bucketing -- happens here, once, before the
-  /// engine fans compute_shard() out.  Default: nothing to prepare.
-  virtual void prepare_round(sim::Round round, const Bitmap& transmitting) {
-    (void)round;
-    (void)transmitting;
-  }
-
-  /// Hands the engine's round thread pool to the channel, so per-round
-  /// *serial-section* precomputation (prepare_round) may itself fan out
-  /// block-parallel work -- the pool is guaranteed idle whenever the
-  /// engine calls into the channel serially.  The pool outlives every
-  /// subsequent round; the engine re-calls this if it rebuilds the pool.
-  /// Sharding a precompute must not change its bytes: results stay
-  /// identical at every thread count.  Default: ignored (serial channels
-  /// have nothing to fan out).
+  /// Hands the engine's round thread pool to the channel, so
+  /// compute_round() may fan block-parallel precompute out over it -- the
+  /// engine calls compute_round() serially, with the pool idle.  The pool
+  /// outlives every subsequent round; the engine re-calls this if it
+  /// rebuilds the pool.  Sharding a precompute must not change its bytes:
+  /// results stay identical at every thread count.  Default: ignored
+  /// (channels with nothing to fan out).
   virtual void set_round_pool(util::ThreadPool* pool) { (void)pool; }
-
-  /// Sharded reception: fills heard[u] for u in [begin, end) only, reading
-  /// whatever prepare_round() staged.  May be called concurrently for
-  /// disjoint ranges; must write nothing outside its range and must equal
-  /// compute_round() bit-for-bit on the union of the ranges.  `heard` is
-  /// the full vertex-indexed span (pre-zeroed over [begin, end)).  The
-  /// engine calls it only over runs of non-zero frontier words.  Every
-  /// channel supports sharded rounds: one that keeps per-round mutable
-  /// scratch keyed by receiver stages it in prepare_round() and keeps the
-  /// per-call part thread-local.
-  virtual void compute_shard(sim::Round round, const Bitmap& transmitting,
-                             std::span<std::uint64_t> heard,
-                             graph::Vertex begin, graph::Vertex end) = 0;
 
   /// Whether deliveries are confined to edges of the bound dual graph.
   /// True for DualGraphChannel (the Section 2 rule *is* the graph);

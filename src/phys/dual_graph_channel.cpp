@@ -15,8 +15,8 @@ void DualGraphChannel::bind(const graph::DualGraph& g,
   edge_active_.resize(g.unreliable_edge_count());
 }
 
-void DualGraphChannel::prepare_round(sim::Round round,
-                                     const Bitmap& transmitting) {
+void DualGraphChannel::select_strategy(sim::Round round,
+                                       const Bitmap& transmitting) {
   const graph::DualGraph& g = *graph_;
   // `unreliable_probes` counts the edge-presence tests the reception pass
   // will make; it picks the scheduler consumption strategy below.
@@ -43,8 +43,7 @@ void DualGraphChannel::prepare_round(sim::Round round,
     adaptive_->plan_round(round, g, transmitting_bools_);
     adaptive_->fill_round(edge_active_);
   } else if (unreliable_probes == 0) {
-    // No transmitter has unreliable incidence: neither path probes (the
-    // gather's transmitting-first test short-circuits every edge probe).
+    // No transmitter has unreliable incidence: the scatter probes nothing.
     use_bitmap_ = false;
   } else if (scheduler_->fill_round_is_word_cheap() ||
              unreliable_probes * 2 >= edge_active_.size()) {
@@ -61,7 +60,7 @@ void DualGraphChannel::compute_round(sim::Round round,
   // The scatter writes only round-topology neighbors of transmitters, all
   // inside fill_frontier()'s mask, so it needs no frontier gating.
   (void)frontier;
-  prepare_round(round, transmitting);
+  select_strategy(round, transmitting);
   const graph::DualGraph& g = *graph_;
   // Fused heard-count/heard-from pass: one packed word per vertex (high 32
   // bits last sender, low 32 bits count), scanned over CSR adjacency.
@@ -85,46 +84,6 @@ void DualGraphChannel::compute_round(sim::Round round,
       }
     }
   });
-}
-
-void DualGraphChannel::compute_shard(sim::Round round,
-                                     const Bitmap& transmitting,
-                                     std::span<std::uint64_t> heard,
-                                     graph::Vertex begin, graph::Vertex end) {
-  const graph::DualGraph& g = *graph_;
-  // Receiver-side gather over [begin, end): writes stay inside the shard's
-  // own range, so shards never contend.  count and max-transmitting-
-  // neighbor reproduce the serial scatter's packed word exactly (see the
-  // header).  The transmitting test comes first: when no transmitter has
-  // unreliable incidence the round's edge_active_ may be stale, and the
-  // short-circuit guarantees it is never read -- same contract as the
-  // serial strategy block.
-  for (graph::Vertex u = begin; u < end; ++u) {
-    std::uint64_t count = 0;
-    graph::Vertex from = 0;
-    for (graph::Vertex v : g.g_neighbors(u)) {
-      if (transmitting.test(v)) {
-        ++count;
-        if (v > from) from = v;
-      }
-    }
-    if (use_bitmap_) {
-      for (const auto& [edge, v] : g.unreliable_incident(u)) {
-        if (transmitting.test(v) && edge_active_.test(edge)) {
-          ++count;
-          if (v > from) from = v;
-        }
-      }
-    } else {
-      for (const auto& [edge, v] : g.unreliable_incident(u)) {
-        if (transmitting.test(v) && scheduler_->active(edge, round)) {
-          ++count;
-          if (v > from) from = v;
-        }
-      }
-    }
-    if (count != 0) heard[u] = heard_word(from, count);
-  }
 }
 
 void DualGraphChannel::fill_frontier(const Bitmap& transmitting,

@@ -30,7 +30,7 @@ class DualGraphChannel final : public ChannelModel {
   /// incident endpoint, whether or not the edge fires -- a schedule-
   /// independent superset, so the mask never consumes a scheduler draw.
   void fill_frontier(const Bitmap& transmitting, Bitmap& frontier) override;
-  /// Serial reception: prepare_round()'s strategy block, then a scatter
+  /// Reception: the strategy block (select_strategy), then a scatter
   /// from each transmitter over its round-topology edges.  Its writes are
   /// confined to the frontier by construction, so the mask goes unread.
   void compute_round(sim::Round round, const Bitmap& transmitting,
@@ -39,23 +39,16 @@ class DualGraphChannel final : public ChannelModel {
   void set_adaptive_adversary(sim::AdaptiveAdversary* adversary) override {
     adaptive_ = adversary;
   }
-  /// Sharded path: prepare_round() runs the strategy block (adaptive plan,
-  /// bulk fill vs per-edge probes) serially; compute_shard() then *gathers*
-  /// per receiver -- count and max transmitting round-neighbor over u's own
-  /// adjacency -- which equals the serial scatter's packed word exactly:
-  /// the scatter's last writer is the largest transmitting neighbor because
-  /// for_each_set scans ascending.  The serial compute_round() keeps the
-  /// scatter form, which is faster when rounds are sparse in transmitters.
-  void prepare_round(sim::Round round, const Bitmap& transmitting) override;
-  void compute_shard(sim::Round round, const Bitmap& transmitting,
-                     std::span<std::uint64_t> heard, graph::Vertex begin,
-                     graph::Vertex end) override;
   bool respects_dual_graph() const override { return true; }
   std::string name() const override;
 
   const sim::LinkScheduler& scheduler() const noexcept { return *scheduler_; }
 
  private:
+  /// Picks use_bitmap_ for the round (and runs the adaptive plan or the
+  /// bulk fill into edge_active_ when the bitmap wins).
+  void select_strategy(sim::Round round, const Bitmap& transmitting);
+
   const graph::DualGraph* graph_ = nullptr;
   sim::LinkScheduler* scheduler_;
   sim::AdaptiveAdversary* adaptive_ = nullptr;
@@ -63,7 +56,7 @@ class DualGraphChannel final : public ChannelModel {
   // Scratch reused every round, sized at bind().
   sim::EdgeBitmap edge_active_;           ///< this round's unreliable subset
   std::vector<bool> transmitting_bools_;  ///< adaptive plan_round view
-  /// Strategy picked by prepare_round() for the round's reception pass:
+  /// Strategy picked by select_strategy() for the round's reception pass:
   /// probe edge_active_ (true) or scheduler_->active() (false).
   bool use_bitmap_ = false;
 };

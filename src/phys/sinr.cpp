@@ -110,12 +110,13 @@ void SinrChannel::fill_frontier(const Bitmap& transmitting, Bitmap& frontier) {
 void SinrChannel::compute_round(sim::Round round, const Bitmap& transmitting,
                                 std::span<std::uint64_t> heard,
                                 const Bitmap& frontier) {
-  // Same staging as the sharded path, then the verdict loop -- which lives
-  // in compute_shard() alone, so the two paths cannot drift apart -- over
-  // maximal runs of non-empty frontier words only.  Visiting a non-frontier
-  // vertex inside a frontier word is harmless (its verdict is clears == 0,
-  // no write); skipping empty words is where the sparsity pays.
-  prepare_round(round, transmitting);
+  (void)round;  // reception is a function of the transmit set alone
+  stage_round(transmitting);
+  if (tx_cells_.empty()) return;  // nobody transmits: nobody hears
+  // The verdict loop over maximal runs of non-empty frontier words only.
+  // Visiting a non-frontier vertex inside a frontier word is harmless (its
+  // verdict is clears == 0, no write); skipping empty words is where the
+  // sparsity pays.
   const auto words = frontier.words();
   const auto n = static_cast<graph::Vertex>(positions_.size());
   std::size_t w = 0;
@@ -128,13 +129,12 @@ void SinrChannel::compute_round(sim::Round round, const Bitmap& transmitting,
     while (w_end < words.size() && words[w_end] != 0) ++w_end;
     const auto begin = static_cast<graph::Vertex>(w * 64);
     const auto end = std::min(static_cast<graph::Vertex>(w_end * 64), n);
-    compute_shard(round, transmitting, heard, begin, end);
+    verdicts(transmitting, heard, begin, end);
     w = w_end;
   }
 }
 
-void SinrChannel::prepare_round(sim::Round round, const Bitmap& transmitting) {
-  (void)round;
+void SinrChannel::stage_round(const Bitmap& transmitting) {
   // Bucket this round's transmitters (touched-cell list keeps the clear
   // step proportional to the previous round's transmitter spread).
   for (std::size_t c : tx_cells_) cell_tx_[c].clear();
@@ -145,7 +145,7 @@ void SinrChannel::prepare_round(sim::Round round, const Bitmap& transmitting) {
     if (cell_tx_[c].empty()) tx_cells_.push_back(c);
     cell_tx_[c].push_back(v);
   });
-  if (tx_cells_.empty()) return;  // compute_shard() early-outs too
+  if (tx_cells_.empty()) return;  // compute_round() early-outs too
 
   // Far-field estimate per receiver cell: each far transmitter cell
   // contributes P * count * min_cell_distance^-alpha -- a conservative
@@ -154,9 +154,9 @@ void SinrChannel::prepare_round(sim::Round round, const Bitmap& transmitting) {
   // is in first-touch (ascending transmitter) order: deterministic.
   //
   // The receiver-cell loop shards over the engine's pool when one is
-  // installed (prepare_round runs in the engine's serial section, so the
-  // pool is idle): per-cell writes are disjoint and each cell keeps the
-  // exact inner tx_cells_ accumulation order, so the sharded fill is
+  // installed (the engine calls compute_round() serially, so the pool is
+  // idle): per-cell writes are disjoint and each cell keeps the exact
+  // inner tx_cells_ accumulation order, so the sharded fill is
   // bit-identical to the serial one at every thread count.
   const geo::GridPartition grid(params_.cell_side, near_radius_);
   const auto fill_cells = [&](std::size_t rc_begin, std::size_t rc_end) {
@@ -184,35 +184,29 @@ void SinrChannel::prepare_round(sim::Round round, const Bitmap& transmitting) {
   }
 }
 
-void SinrChannel::compute_shard(sim::Round round, const Bitmap& transmitting,
-                                std::span<std::uint64_t> heard,
-                                graph::Vertex begin, graph::Vertex end) {
-  (void)round;
-  if (tx_cells_.empty()) return;
-
+void SinrChannel::verdicts(const Bitmap& transmitting,
+                           std::span<std::uint64_t> heard,
+                           graph::Vertex begin, graph::Vertex end) {
   // Per-receiver verdicts: exact signal + interference over near cells,
   // far-field estimate for the rest, deliver iff exactly one candidate
-  // clears beta (with beta >= 1, at most one ever does).  Candidate scratch
-  // is thread-local: concurrent shards must not share a buffer, and each
-  // receiver's candidate list is rebuilt from scratch either way.
-  static thread_local std::vector<std::pair<graph::Vertex, double>> candidates;
+  // clears beta (with beta >= 1, at most one ever does).
   for (graph::Vertex u = begin; u < end; ++u) {
     if (transmitting.test(u)) continue;  // transmitters hear nothing
     const std::size_t rc = cell_of_vertex_[u];
     const geo::Point& pu = positions_[u];
     double interference = far_field_[rc];
-    candidates.clear();
+    candidates_.clear();
     for (std::size_t nc : cells_[rc].near) {
       for (graph::Vertex v : cell_tx_[nc]) {
         const double d2 = geo::distance_sq(pu, positions_[v]);
         const double gain = path_gain(params_, d2);
         interference += gain;
-        if (d2 <= range_sq_) candidates.emplace_back(v, gain);
+        if (d2 <= range_sq_) candidates_.emplace_back(v, gain);
       }
     }
     std::uint64_t clears = 0;
     graph::Vertex from = 0;
-    for (const auto& [v, gain] : candidates) {
+    for (const auto& [v, gain] : candidates_) {
       // SINR test: gain / (N + I - gain) >= beta, rearranged to avoid the
       // division.
       if (gain >= params_.beta * (params_.noise + interference - gain)) {

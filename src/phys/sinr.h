@@ -39,6 +39,7 @@
 #include <cstdint>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "geo/point.h"
@@ -83,27 +84,19 @@ class SinrChannel final : public ChannelModel {
   SinrChannel(const SinrParams& params, geo::Embedding embedding);
 
   void bind(const graph::DualGraph& g, std::uint64_t master_seed) override;
-  /// Sharded path: prepare_round() buckets the round's transmitters and
-  /// computes the per-cell far field (both functions of the transmit set
-  /// alone); compute_shard() runs the per-receiver verdict loop over its
-  /// range with thread-local candidate scratch.  Per-receiver arithmetic
-  /// and accumulation order are identical to the serial pass, so the
-  /// floating-point verdicts match bit for bit.
   /// The far-field precompute (per receiver cell, disjoint writes, inner
   /// accumulation order unchanged) shards over the engine's pool when one
   /// is installed -- bit-identical to the serial pass at any thread count.
   void set_round_pool(util::ThreadPool* pool) override { pool_ = pool; }
-  void prepare_round(sim::Round round, const Bitmap& transmitting) override;
-  void compute_shard(sim::Round round, const Bitmap& transmitting,
-                     std::span<std::uint64_t> heard, graph::Vertex begin,
-                     graph::Vertex end) override;
   /// Frontier: noise > 0 bounds the decodable range, and near sets are
   /// symmetric in min_cell_distance, so every possible hearer lives in a
   /// near cell of some transmitter cell.  fill_frontier() unions those
-  /// cells' members (deduped with O(activity) touched-flag scratch);
-  /// compute_round() runs prepare_round() plus the verdict loop over
-  /// maximal runs of frontier words.
+  /// cells' members (deduped with O(activity) touched-flag scratch).
   void fill_frontier(const Bitmap& transmitting, Bitmap& frontier) override;
+  /// Reception: stage_round() buckets the round's transmitters and
+  /// computes the per-cell far field (both functions of the transmit set
+  /// alone), then verdicts() runs the per-receiver loop over maximal runs
+  /// of frontier words.
   void compute_round(sim::Round round, const Bitmap& transmitting,
                      std::span<std::uint64_t> heard,
                      const Bitmap& frontier) override;
@@ -119,6 +112,13 @@ class SinrChannel final : public ChannelModel {
   };
 
   std::size_t cell_index(const geo::RegionId& id) const;
+  /// Fills cell_tx_ / tx_cells_ from the transmit set and, when anyone
+  /// transmits, far_field_ for every receiver cell.
+  void stage_round(const Bitmap& transmitting);
+  /// Per-receiver SINR verdicts for u in [begin, end), reading what
+  /// stage_round() staged.
+  void verdicts(const Bitmap& transmitting, std::span<std::uint64_t> heard,
+                graph::Vertex begin, graph::Vertex end);
 
   SinrParams params_;
   geo::Embedding positions_;
@@ -130,11 +130,13 @@ class SinrChannel final : public ChannelModel {
       cell_of_id_;
   std::vector<std::size_t> cell_of_vertex_;
 
-  // Per-round scratch, sized at bind(); written only by prepare_round(),
-  // read-only during the (possibly concurrent) compute_shard() calls.
+  // Per-round scratch, sized at bind(); written by stage_round(), read by
+  // verdicts().
   std::vector<std::vector<graph::Vertex>> cell_tx_;  ///< transmitters per cell
   std::vector<std::size_t> tx_cells_;                ///< touched cell indices
   std::vector<double> far_field_;                    ///< per receiver cell
+  /// verdicts() candidate senders of one receiver (rebuilt per receiver).
+  std::vector<std::pair<graph::Vertex, double>> candidates_;
 
   // fill_frontier() dedup scratch: flags + touched lists so each call costs
   // O(activity), not O(cell count).  Sized at bind(), reset after each use.

@@ -5,7 +5,6 @@
 #include <cstdlib>
 #include <fstream>
 #include <initializer_list>
-#include <iterator>
 #include <set>
 #include <sstream>
 
@@ -188,23 +187,6 @@ constexpr std::initializer_list<const char*> kAlgorithmKeys = {
 constexpr std::initializer_list<const char*> kAxisEntryKeys = {
     "tag", "seed_offset", "set"};
 
-const std::set<std::string> kTopologyTypes = {
-    "geometric", "grid", "clique", "star", "line", "bridged",
-    "contention_star", "disjoint_cliques", "deployment"};
-const std::set<std::string> kAlgorithmTypes = {
-    "lb_progress", "decay_progress", "seed_agreement",
-    "seed_then_progress", "abstraction_fidelity", "traffic_latency",
-    "lb_churn"};
-
-/// The one-line workload list every workload-related rejection embeds
-/// (the same actionable style as the channel/scheduler/traffic specs).
-const char* kValidAlgorithmTypes =
-    "lb_progress, decay_progress, seed_agreement, seed_then_progress, "
-    "abstraction_fidelity, traffic_latency, lb_churn";
-/// Topology families whose built graph carries a plane embedding.
-constexpr const char* kEmbeddedTopologies[] = {
-    "geometric", "grid", "clique", "star", "line", "bridged"};
-
 bool parse_topology(Ctx& ctx, const json::Value& v, const std::string& path,
                     TopologySpec& out) {
   if (!v.is_object()) {
@@ -213,12 +195,10 @@ bool parse_topology(Ctx& ctx, const json::Value& v, const std::string& path,
   }
   ObjectReader r(ctx, v, path, kTopologyKeys);
   if (!r.str("type", out.type)) return false;
-  if (kTopologyTypes.find(out.type) == kTopologyTypes.end()) {
+  if (find_topology_family(out.type) == nullptr) {
     return ctx.fail(v.find("type") != nullptr ? *v.find("type") : v, path,
-                    "unknown topology type '" + out.type +
-                        "' (valid: geometric, grid, clique, star, line, "
-                        "bridged, contention_star, disjoint_cliques, "
-                        "deployment)");
+                    "unknown topology type '" + out.type + "' (valid: " +
+                        topology_family_list() + ")");
   }
   if (!r.size("n", out.n) || !r.number("side", out.side) ||
       !r.number("r", out.r) || !r.size("cols", out.cols) ||
@@ -242,10 +222,10 @@ bool parse_algorithm(Ctx& ctx, const json::Value& v, const std::string& path,
   }
   ObjectReader r(ctx, v, path, kAlgorithmKeys);
   if (!r.str("type", out.type)) return false;
-  if (kAlgorithmTypes.find(out.type) == kAlgorithmTypes.end()) {
+  if (!is_workload_type(out.type)) {
     return ctx.fail(v.find("type") != nullptr ? *v.find("type") : v, path,
                     "unknown algorithm type '" + out.type + "' (valid: " +
-                        std::string(kValidAlgorithmTypes) + ")");
+                        workload_type_list() + ")");
   }
   std::int64_t log_delta = out.log_delta;
   if (!r.number("eps1", out.eps1) || !r.number("r", out.r) ||
@@ -358,8 +338,8 @@ bool validate_semantics(Ctx& ctx, const json::Value& at,
     if (!topology_has_embedding(spec.topology.type)) {
       return ctx.fail(at, path,
                       "channel 'sinr' needs an embedded topology (" +
-                          embedded_topology_types() + "); got '" +
-                          spec.topology.type + "'");
+                          topology_family_list(&TopologyFamily::embedded) +
+                          "); got '" + spec.topology.type + "'");
     }
   }
   const bool uses_traffic =
@@ -377,7 +357,7 @@ bool validate_semantics(Ctx& ctx, const json::Value& at,
                     "'traffic_latency' or 'lb_churn'; algorithm '" +
                         a.type + "' manages its own environment (valid "
                         "workload kinds: " +
-                        std::string(kValidAlgorithmTypes) + ")");
+                        workload_type_list() + ")");
   } else if (a.queue_cap != 0) {
     // Same no-silent-ignore rule as the traffic key: a queue_cap sweep on
     // the wrong workload would otherwise produce identical counters with
@@ -387,7 +367,7 @@ bool validate_semantics(Ctx& ctx, const json::Value& at,
                     "'traffic_latency' or 'lb_churn'; algorithm '" +
                         a.type + "' has no admission queue (valid "
                         "workload kinds: " +
-                        std::string(kValidAlgorithmTypes) + ")");
+                        workload_type_list() + ")");
   }
   if (a.type == "lb_churn") {
     if (spec.faults.empty()) {
@@ -402,7 +382,7 @@ bool validate_semantics(Ctx& ctx, const json::Value& at,
                     "'lb_churn'; algorithm '" +
                         a.type + "' runs fault-free (valid workload "
                         "kinds: " +
-                        std::string(kValidAlgorithmTypes) + ")");
+                        workload_type_list() + ")");
   }
   const SpecViolation bounds = check_vertex_bounds(spec);
   return bounds.ok() || ctx.fail(at, path, bounds.message);
@@ -760,20 +740,6 @@ std::unique_ptr<sim::LinkScheduler> build_scheduler(const std::string& spec) {
         /*pivot=*/arg(2, 1.0 / 16.0));
   }
   return std::make_unique<sim::BernoulliScheduler>(arg(1, 0.5));
-}
-
-bool topology_has_embedding(const std::string& type) {
-  return std::find(std::begin(kEmbeddedTopologies),
-                   std::end(kEmbeddedTopologies),
-                   type) != std::end(kEmbeddedTopologies);
-}
-
-std::string embedded_topology_types() {
-  std::string out;
-  for (const char* type : kEmbeddedTopologies) {
-    out += std::string(out.empty() ? "" : ", ") + type;
-  }
-  return out;
 }
 
 graph::DualGraph build_topology(const TopologySpec& t, Rng& rng) {

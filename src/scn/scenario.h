@@ -61,6 +61,7 @@
 #include "fault/spec.h"
 #include "graph/dual_graph.h"
 #include "phys/channel_spec.h"
+#include "scn/families.h"
 #include "sim/scheduler.h"
 #include "traffic/spec.h"
 #include "util/rng.h"
@@ -207,17 +208,6 @@ SpecViolation check_vertex_bounds(const ScenarioSpec& spec);
 /// Builds the (committed-later) scheduler for a validated spec.
 /// Contract-checks that the spec is valid.
 std::unique_ptr<sim::LinkScheduler> build_scheduler(const std::string& spec);
-
-/// True when build_topology attaches a plane embedding to this family's
-/// graph -- the geometry SINR reception reads: geometric, grid, clique,
-/// star, line and bridged.  (deployment is an embedding without a graph;
-/// only abstraction_fidelity takes it.)  Both front ends reject SINR on any
-/// other family before anything is built.
-bool topology_has_embedding(const std::string& type);
-
-/// The families topology_has_embedding accepts, comma-separated (for
-/// messages).
-std::string embedded_topology_types();
 
 /// Builds the variant's topology.  `rng` is the trial's master stream and
 /// is consumed only by the randomized families (geometric), mirroring the

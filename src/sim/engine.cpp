@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <chrono>
 #include <cstdlib>
 #include <limits>
 #include <string_view>
@@ -145,9 +144,9 @@ struct EngineStages {
   };
 
   /// "frontier": serial computation of the round's activity mask
-  /// (Slab::kActivityMask) and the word / shard-block indices derived from
-  /// it.  The mask is fault-event vertices plus the channel's conservative
-  /// hearer superset of the transmit set -- or every vertex, when the round
+  /// (Slab::kActivityMask) and the word index derived from it.  The mask
+  /// is fault-event vertices plus the channel's conservative hearer
+  /// superset of the transmit set -- or every vertex, when the round
   /// needs a full mask (the oracle mode, or a splice reading heard_words).
   class FrontierStage final : public RoundStage {
    public:
@@ -177,15 +176,8 @@ struct EngineStages {
         e_.channel_->fill_frontier(e_.transmitting_, e_.frontier_);
       }
       e_.active_words_.clear();
-
-      const std::size_t blocks =
-          rs.sharded ? (rs.vertex_count + rs.block_size - 1) / rs.block_size
-                     : 0;
-      if (rs.sharded) e_.block_active_.assign(blocks, 0);
       for (std::size_t w = 0; w < fwords.size(); ++w) {
-        if (fwords[w] == 0) continue;
-        e_.active_words_.push_back(w);
-        if (rs.sharded) e_.block_active_[(w * 64) / rs.block_size] = 1;
+        if (fwords[w] != 0) e_.active_words_.push_back(w);
       }
       if (e_.m_active_blocks_ != nullptr) {
         *e_.m_active_blocks_ += e_.active_words_.size();
@@ -201,16 +193,15 @@ struct EngineStages {
     Engine& e_;
   };
 
-  /// "compute": reception physics, delegated to the channel model.  Zeroes
-  /// and fills the packed heard words of frontier words only -- entries
-  /// outside them are stale by contract and never read (every reader is
-  /// frontier-gated).  A serial round takes the channel's one-call scatter
-  /// (compute_round); a sharded round stages the transmit set once in the
-  /// prologue (prepare_round) and gathers per block (compute_shard).  The
-  /// logical-metrics pass over the frozen verdicts runs in after_phase
-  /// (outside the timing bracket, and before any spliced stage anchored
-  /// behind this one -- counters tally channel verdicts, not post-splice
-  /// deliveries).
+  /// "compute": reception physics, delegated to the channel model in one
+  /// compute_round() call per round, serial and sharded rounds alike (a
+  /// channel may fan its own precompute out over the round pool, as the
+  /// SINR far field does).  Zeroes the packed heard words of frontier
+  /// words only -- entries outside them are stale by contract and never
+  /// read (every reader is frontier-gated).  The logical-metrics pass over
+  /// the frozen verdicts runs in after_phase (outside the timing bracket,
+  /// and before any spliced stage anchored behind this one -- counters
+  /// tally channel verdicts, not post-splice deliveries).
   class ChannelStage final : public RoundStage {
    public:
     explicit ChannelStage(Engine& e) : e_(e) {}
@@ -221,47 +212,17 @@ struct EngineStages {
     SlabSet writes() const override {
       return slab_bit(Slab::kHeardWords);
     }
-    bool vertex_disjoint_writes() const override { return true; }
-    void prologue(RoundState& rs) override {
-      if (rs.sharded) e_.channel_->prepare_round(rs.round, e_.transmitting_);
-    }
-    void run(RoundState& rs, graph::Vertex begin,
-             graph::Vertex end) override {
-      if (!rs.sharded) {
-        const std::size_t n = e_.heard_.size();
-        for (std::size_t w : e_.active_words_) {
-          const std::size_t lo = w * 64;
-          std::fill(e_.heard_.begin() + static_cast<std::ptrdiff_t>(lo),
-                    e_.heard_.begin() +
-                        static_cast<std::ptrdiff_t>(std::min(lo + 64, n)),
-                    0U);
-        }
-        e_.channel_->compute_round(rs.round, e_.transmitting_, e_.heard_,
-                                   e_.frontier_);
-        return;
+    void run(RoundState& rs, graph::Vertex, graph::Vertex) override {
+      const std::size_t n = e_.heard_.size();
+      for (std::size_t w : e_.active_words_) {
+        const std::size_t lo = w * 64;
+        std::fill(e_.heard_.begin() + static_cast<std::ptrdiff_t>(lo),
+                  e_.heard_.begin() +
+                      static_cast<std::ptrdiff_t>(std::min(lo + 64, n)),
+                  0U);
       }
-      // O(1) idle-block early-out, then zero + compute over maximal runs
-      // of frontier words inside the block (blocks own whole words).
-      if (e_.block_active_[begin / rs.block_size] == 0) return;
-      const auto fwords = e_.frontier_.words();
-      const std::size_t wb = begin / 64;
-      const std::size_t we = (static_cast<std::size_t>(end) + 63) / 64;
-      std::size_t w = wb;
-      while (w < we) {
-        if (fwords[w] == 0) {
-          ++w;
-          continue;
-        }
-        std::size_t run_end = w + 1;
-        while (run_end < we && fwords[run_end] != 0) ++run_end;
-        const auto lo = static_cast<graph::Vertex>(w * 64);
-        const auto hi = std::min(
-            static_cast<graph::Vertex>(run_end * 64), end);
-        std::fill(e_.heard_.begin() + lo, e_.heard_.begin() + hi, 0U);
-        e_.channel_->compute_shard(rs.round, e_.transmitting_, e_.heard_,
-                                   lo, hi);
-        w = run_end;
-      }
+      e_.channel_->compute_round(rs.round, e_.transmitting_, e_.heard_,
+                                 e_.frontier_);
     }
     void after_phase(RoundState&) override { e_.record_logical_round(); }
 
@@ -858,22 +819,6 @@ void Engine::run_pipeline(bool sharded, std::size_t block_size,
   rs.registry = registry_;
   rs.trace = trace_sink_;
 
-  // Every pool dispatch of the round funnels through this wrapper so the
-  // profiler can total the parallel-section wall clock (the utilization
-  // numerator) without instrumenting the pool itself.
-  const auto pooled = [&](auto&& fn) {
-    if (profiler_ == nullptr) {
-      pool_->for_blocks(blocks, fn);
-      return;
-    }
-    const auto start = std::chrono::steady_clock::now();
-    pool_->for_blocks(blocks, fn);
-    profiler_->add_parallel_ns(static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - start)
-            .count()));
-  };
-
   for (const RoundPipeline::Slot& slot : pipeline_.slots()) {
     if (slot.round_begin_before) {
       for (Observer* obs : obs_round_begin_) {
@@ -890,7 +835,7 @@ void Engine::run_pipeline(bool sharded, std::size_t block_size,
       obs::ScopedPhase phase(profiler_.get(), slot.profile_slot);
       stage.prologue(rs);
       if (sharded && stage.vertex_disjoint_writes()) {
-        pooled([&](std::size_t b) {
+        pool_->for_blocks(blocks, [&](std::size_t b) {
           const auto begin = static_cast<graph::Vertex>(b * block_size);
           const auto end = static_cast<graph::Vertex>(
               std::min(b * block_size + block_size, processes_.size()));
@@ -911,7 +856,13 @@ void Engine::run_pipeline(bool sharded, std::size_t block_size,
   if (m_steps_ != nullptr) {
     for (std::uint64_t steps : block_steps_) *m_steps_ += steps;
   }
-  if (profiler_ != nullptr) profiler_->end_round(trace_sink_);
+  // The round's pool loops -- the engine's block dispatches and any the
+  // channel started itself -- total the utilization numerator.
+  const std::uint64_t pool_ns = pool_ != nullptr ? pool_->take_busy_ns() : 0;
+  if (profiler_ != nullptr) {
+    profiler_->add_parallel_ns(pool_ns);
+    profiler_->end_round(trace_sink_);
+  }
 }
 
 void Engine::run_rounds(Round count) {

@@ -27,12 +27,13 @@
 // Sharded rounds: when round_threads > 1 and every process is shard_safe(),
 // run_round() partitions the vertices into cache-aligned blocks (multiples
 // of 64 vertices, so each block owns whole transmit-bitmap words) and runs
-// the transmit, reception and output phases block-parallel on a persistent
+// the transmit, receive and output phases block-parallel on a persistent
 // thread pool.  A serial round is the same
-// dispatch with one block, [0, n).  Determinism is preserved structurally,
+// dispatch with one block, [0, n).  The channel's reception runs as one
+// serial compute_round() call in every round (a channel may shard its own
+// precompute over the idle pool).  Determinism is preserved structurally,
 // not by scheduling: blocks write disjoint per-vertex state, each vertex
-// draws only from its own rng stream, the channel's sharded reception
-// writes only its own receiver range, and observers are fanned out
+// draws only from its own rng stream, and observers are fanned out
 // *serially* after each stage's bodies, in ascending vertex order, in every
 // round.  Golden digests and campaign counters are therefore byte-identical
 // at any thread count (tests/engine_shard_test.cpp sweeps the contract).
@@ -354,7 +355,6 @@ class Engine {
   bool splice_reads_heard_ = false;  ///< a splice declares a heard read
   Bitmap frontier_;                          ///< Slab::kActivityMask
   std::vector<std::size_t> active_words_;    ///< non-zero frontier words
-  std::vector<std::uint8_t> block_active_;   ///< per shard block, sharded
   /// Vertex steps (transmit() calls, wakes included) taken this round, one
   /// slot per dispatch block; summed serially into engine.steps.
   std::vector<std::uint64_t> block_steps_;

@@ -41,10 +41,7 @@ class LinkScheduler {
   virtual void commit(const graph::DualGraph& g, std::uint64_t seed) = 0;
 
   /// Whether unreliable edge `edge` is present in the topology of `round`.
-  /// Must be deterministic after commit().  The sharded round engine probes
-  /// active() concurrently from several threads, so implementations must be
-  /// safe for concurrent const calls (every scheduler here is a pure
-  /// function of immutable post-commit state, which suffices).
+  /// Must be deterministic after commit().
   virtual bool active(graph::UnreliableEdgeId edge, Round round) const = 0;
 
   /// Writes the whole round-`round` edge subset into `out` (sized by the

@@ -1,5 +1,7 @@
 #include "util/thread_pool.h"
 
+#include <chrono>
+
 #include "util/assert.h"
 
 namespace dg::util {
@@ -26,6 +28,7 @@ void ThreadPool::ensure_workers() {
 }
 
 void ThreadPool::run_blocks(std::size_t blocks, BlockFn fn, void* obj) {
+  const auto start = std::chrono::steady_clock::now();
   ensure_workers();
   {
     std::unique_lock<std::mutex> lock(mutex_);
@@ -43,10 +46,16 @@ void ThreadPool::run_blocks(std::size_t blocks, BlockFn fn, void* obj) {
   }
   work_cv_.notify_all();
   drain();  // the caller is one of the pool's threads
-  std::unique_lock<std::mutex> lock(mutex_);
-  done_cv_.wait(lock, [&] {
-    return remaining_.load(std::memory_order_acquire) == 0;
-  });
+  {
+    std::unique_lock<std::mutex> lock(mutex_);
+    done_cv_.wait(lock, [&] {
+      return remaining_.load(std::memory_order_acquire) == 0;
+    });
+  }
+  busy_ns_ += static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - start)
+          .count());
 }
 
 void ThreadPool::drain() {

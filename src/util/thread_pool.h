@@ -31,6 +31,15 @@ class ThreadPool {
 
   std::size_t threads() const noexcept { return threads_; }
 
+  /// Wall-clock nanoseconds spent inside parallel for_blocks() loops since
+  /// the last call, which resets the total.  Whoever drives the pool reads
+  /// it, so loops started by any caller are counted.
+  std::uint64_t take_busy_ns() noexcept {
+    const std::uint64_t ns = busy_ns_;
+    busy_ns_ = 0;
+    return ns;
+  }
+
   /// Runs fn(block) for every block in [0, blocks) across the caller and
   /// the workers, returning only after every block completed.  fn must
   /// confine its writes to per-block state; any shared reads must be
@@ -59,6 +68,7 @@ class ThreadPool {
 
   std::size_t threads_;
   std::vector<std::thread> workers_;
+  std::uint64_t busy_ns_ = 0;  ///< run_blocks() wall clock; caller-only
 
   std::mutex mutex_;
   std::condition_variable work_cv_;  ///< wakes workers on a new generation

@@ -211,9 +211,10 @@ TEST(EngineShardDifferential, GeometricAndLine) {
 }
 
 TEST(EngineShardDifferential, SinrChannel) {
-  // The SINR reception path: prepare_round buckets transmitters serially,
-  // compute_shard runs the verdict loop per receiver range; the identical
-  // floating-point accumulation order makes the verdicts bit-for-bit equal.
+  // The SINR reception path in a sharded round: one serial compute_round()
+  // whose far-field fill fans out over the engine's pool, each receiver
+  // cell keeping its accumulation order, so the floating-point verdicts
+  // are bit-for-bit equal to the serial round's.
   const auto g = graph::grid(16, 16, 1.0, 1.5);
   phys::SinrParams params;  // defaults: alpha 3, beta 2, noise 0.1
   const Round rounds = 40;

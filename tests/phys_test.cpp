@@ -1,7 +1,8 @@
 // Tests for the physical-layer channel subsystem (src/phys/): the SINR
 // reception rule and its grid acceleration, the dual-graph extractor's
-// Section 2 guarantees, and the DualGraphChannel seam (the explicit-channel
-// engine constructor must behave exactly like the scheduler constructor).
+// Section 2 guarantees, the DualGraphChannel seam (the explicit-channel
+// engine constructor must behave exactly like the scheduler constructor),
+// and the ChannelModel frontier contract every channel keeps.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,6 +11,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -23,6 +25,7 @@
 #include "sim/scheduler.h"
 #include "test_support.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace dg::phys {
 namespace {
@@ -374,6 +377,150 @@ TEST(DualGraphChannel, ExplicitChannelMatchesSchedulerConstructor) {
     digests[mode] = digest.value();
   }
   EXPECT_EQ(digests[0], digests[1]);
+}
+
+/// A Bernoulli(0.5) schedule that records how the channel consumed it:
+/// bulk fill_round() calls or per-edge active() probes.  `word_cheap`
+/// steers DualGraphChannel's strategy choice.
+class StrategyProbe final : public sim::LinkScheduler {
+ public:
+  explicit StrategyProbe(bool word_cheap)
+      : inner_(0.5), word_cheap_(word_cheap) {}
+  void commit(const graph::DualGraph& g, std::uint64_t seed) override {
+    inner_.commit(g, seed);
+  }
+  bool active(graph::UnreliableEdgeId edge, sim::Round round) const override {
+    ++probes;
+    return inner_.active(edge, round);
+  }
+  void fill_round(sim::Round round, sim::EdgeBitmap& out) const override {
+    ++fills;
+    inner_.fill_round(round, out);
+  }
+  bool fill_round_is_word_cheap() const override { return word_cheap_; }
+  std::string name() const override { return inner_.name(); }
+
+  mutable std::size_t probes = 0;
+  mutable std::size_t fills = 0;
+
+ private:
+  sim::BernoulliScheduler inner_;
+  bool word_cheap_;
+};
+
+/// Tallies of a contract sweep, so each test can rule out a vacuous pass.
+struct ContractTally {
+  std::size_t delivered = 0;        ///< deliveries in the full-mask runs
+  std::size_t untouched_words = 0;  ///< words the sentinel check covered
+};
+
+/// The ChannelModel contract over a few rounds.  Two identically bound
+/// channels see the same transmit sets: `masked` runs compute_round()
+/// under fill_frontier()'s mask over a sentinel-filled heard span (zeroed
+/// over the mask's words, as the engine does), `full` under an all-ones
+/// mask.  Entries outside the mask's words must keep the sentinel, and
+/// every listener's entry inside them must equal the full-mask run.  A
+/// listener the full run reaches must also carry a frontier bit
+/// (fill_frontier() is a superset of the hearers).  Transmitters come from
+/// the first third of the vertices so the last words stay out of the mask.
+void expect_channel_contract(ChannelModel& masked, ChannelModel& full,
+                             std::size_t n, ContractTally& tally) {
+  constexpr std::uint64_t kSentinel = 0xdeadbeefcafef00dULL;
+  Rng rng(2024);
+  for (sim::Round t = 1; t <= 12; ++t) {
+    const double density = t % 2 == 0 ? 0.2 : 0.02;  // dense, then sparse
+    Bitmap tx(n);
+    for (std::size_t v = 0; v < n / 3; ++v) {
+      if (rng.chance(density)) tx.set(v);
+    }
+    Bitmap frontier(n);
+    masked.fill_frontier(tx, frontier);
+    const auto words = frontier.words();
+    std::vector<std::uint64_t> heard(n, kSentinel);
+    for (std::size_t w = 0; w < words.size(); ++w) {
+      if (words[w] == 0) continue;
+      std::fill(heard.begin() + static_cast<std::ptrdiff_t>(w * 64),
+                heard.begin() +
+                    static_cast<std::ptrdiff_t>(std::min(w * 64 + 64, n)),
+                0U);
+    }
+    masked.compute_round(t, tx, heard, frontier);
+    std::vector<std::uint64_t> reference(n, 0);
+    Bitmap everyone(n);
+    everyone.set_all();
+    full.compute_round(t, tx, reference, everyone);
+
+    for (std::size_t w = 0; w < words.size(); ++w) {
+      if (words[w] == 0) ++tally.untouched_words;
+    }
+    for (std::size_t u = 0; u < n; ++u) {
+      if (words[u / 64] == 0) {
+        ASSERT_EQ(heard[u], kSentinel) << "round " << t << " wrote u=" << u;
+      }
+      if (tx.test(u)) continue;  // transmitters' entries are ignored
+      if (reference[u] != 0) {
+        ASSERT_TRUE(frontier.test(u)) << "round " << t << " hearer u=" << u;
+      }
+      if (words[u / 64] != 0) {
+        ASSERT_EQ(heard[u], reference[u]) << "round " << t << " u=" << u;
+      }
+      if (static_cast<std::uint32_t>(reference[u]) == 1) ++tally.delivered;
+    }
+  }
+}
+
+/// 24x24 grid: 576 vertices in nine words, reliable and unreliable edges.
+graph::DualGraph contract_grid() {
+  return graph::grid(24, 24, /*spacing=*/0.7, /*r=*/1.5);
+}
+
+TEST(ChannelContract, DualGraphBulkFillStaysInsideTheFrontier) {
+  const auto g = contract_grid();
+  ASSERT_GT(g.unreliable_edge_count(), 0u);
+  StrategyProbe masked_sched(/*word_cheap=*/true);
+  StrategyProbe full_sched(/*word_cheap=*/true);
+  DualGraphChannel masked(masked_sched);
+  DualGraphChannel full(full_sched);
+  masked.bind(g, 5);
+  full.bind(g, 5);
+  ContractTally tally;
+  expect_channel_contract(masked, full, g.size(), tally);
+  EXPECT_GT(tally.delivered, 0u);
+  EXPECT_GT(tally.untouched_words, 0u);
+  EXPECT_GT(masked_sched.fills, 0u);
+  EXPECT_EQ(masked_sched.probes, 0u);  // the bulk strategy, every round
+}
+
+TEST(ChannelContract, DualGraphEdgeProbesStayInsideTheFrontier) {
+  const auto g = contract_grid();
+  StrategyProbe masked_sched(/*word_cheap=*/false);
+  StrategyProbe full_sched(/*word_cheap=*/false);
+  DualGraphChannel masked(masked_sched);
+  DualGraphChannel full(full_sched);
+  masked.bind(g, 5);
+  full.bind(g, 5);
+  ContractTally tally;
+  expect_channel_contract(masked, full, g.size(), tally);
+  EXPECT_GT(tally.delivered, 0u);
+  EXPECT_GT(tally.untouched_words, 0u);
+  EXPECT_GT(masked_sched.probes, 0u);  // sparse rounds probe per edge
+}
+
+TEST(ChannelContract, SinrStaysInsideTheFrontier) {
+  const auto g = contract_grid();
+  SinrParams params;
+  SinrChannel masked(params);
+  SinrChannel full(params);
+  masked.bind(g, 5);
+  full.bind(g, 5);
+  // The masked channel fills its far field over a two-thread pool; the
+  // reference fills it serially.
+  util::ThreadPool pool(2);
+  masked.set_round_pool(&pool);
+  ContractTally tally;
+  expect_channel_contract(masked, full, g.size(), tally);
+  EXPECT_GT(tally.delivered, 0u);
+  EXPECT_GT(tally.untouched_words, 0u);
 }
 
 TEST(Engine, ReportsChannelName) {

@@ -217,33 +217,53 @@ TEST(CampaignSchema, WorkloadTopologyMismatchesAreErrors) {
 }
 
 TEST(CampaignSchema, EmbeddingPredicateMatchesEveryBuiltFamily) {
-  // The family list comes from the parser's own unknown-type message, so a
-  // family added to the schema joins this sweep without editing it.
-  const auto p = parse(R"({"campaign": "t", "scenarios": [{"name": "s",
+  // The unknown-family message lists the family table, in table order.
+  auto p = parse(R"({"campaign": "t", "scenarios": [{"name": "s",
       "topology": {"type": "no_such_family"}}]})");
   ASSERT_FALSE(p.ok());
-  const auto open = p.error.find("(valid: ");
-  ASSERT_NE(open, std::string::npos) << p.error;
-  std::string list = p.error.substr(open + 8);
-  list = list.substr(0, list.find(')'));
-  std::vector<std::string> families;
-  for (std::size_t at = 0; at <= list.size();) {
-    const auto comma = std::min(list.find(", ", at), list.size());
-    families.push_back(list.substr(at, comma - at));
-    at = comma + 2;
-  }
-  ASSERT_GE(families.size(), 8u) << list;
-  for (const std::string& family : families) {
-    if (family == "deployment") continue;  // an embedding with no graph
-    TopologySpec t;
-    t.type = family;
+  EXPECT_NE(p.error.find("(valid: geometric, grid, clique, star, line, "
+                         "bridged, contention_star, disjoint_cliques, "
+                         "deployment)"),
+            std::string::npos)
+      << p.error;
+  EXPECT_NE(p.error.find("(valid: " + topology_family_list() + ")"),
+            std::string::npos);
+  // Every table entry parses and builds, and its graph carries a plane
+  // embedding exactly when the table says so.
+  for (const TopologyFamily& family : kTopologyFamilies) {
+    const std::string type(family.name);
+    // deployment is an embedding without a graph: only abstraction_fidelity
+    // over an SINR channel takes it.
+    const std::string workload =
+        family.builds_graph
+            ? ""
+            : R"(, "algorithm": {"type": "abstraction_fidelity"},
+                 "channel": "sinr")";
+    p = parse(R"({"campaign": "t", "scenarios": [{"name": "s",
+        "topology": {"type": ")" + type + "\"}" + workload + "}]}");
+    ASSERT_TRUE(p.ok()) << type << ": " << p.error;
+    ASSERT_EQ(p.campaign.variants.size(), 1u) << type;
+    EXPECT_EQ(topology_has_embedding(type), family.embedded) << type;
+    if (!family.builds_graph) continue;
     Rng rng(1);
-    const auto g = build_topology(t, rng);
-    EXPECT_EQ(g.embedding().has_value(), topology_has_embedding(family))
-        << family;
+    const auto g = build_topology(p.campaign.variants[0].topology, rng);
+    EXPECT_GT(g.size(), 0u) << type;
+    EXPECT_EQ(g.embedding().has_value(), family.embedded) << type;
   }
   EXPECT_TRUE(topology_has_embedding("clique"));
   EXPECT_FALSE(topology_has_embedding("contention_star"));
+  EXPECT_FALSE(topology_has_embedding("no_such_family"));
+
+  // The workload table feeds the unknown-workload message the same way.
+  p = parse(R"({"campaign": "t", "scenarios": [{"name": "s",
+      "topology": {"type": "clique", "k": 4},
+      "algorithm": {"type": "no_such_workload"}}]})");
+  ASSERT_FALSE(p.ok());
+  EXPECT_NE(p.error.find("(valid: lb_progress, decay_progress, "
+                         "seed_agreement, seed_then_progress, "
+                         "abstraction_fidelity, traffic_latency, lb_churn)"),
+            std::string::npos)
+      << p.error;
 }
 
 TEST(CampaignSchema, VertexBoundsAreChecked) {

@@ -13,6 +13,7 @@
 #include "util/intmath.h"
 #include "util/rng.h"
 #include "util/table.h"
+#include "util/thread_pool.h"
 
 namespace dg {
 namespace {
@@ -343,6 +344,18 @@ TEST(Bitmap, EqualityComparesSizeAndBits) {
   b.set(69);
   EXPECT_TRUE(a == b);
   EXPECT_FALSE(a == c);
+}
+
+// ---- thread pool ----
+
+TEST(ThreadPool, BusyNsTotalsParallelLoopsAndResetsOnTake) {
+  util::ThreadPool pool(2);
+  EXPECT_EQ(pool.take_busy_ns(), 0u);
+  std::vector<int> hits(8, 0);
+  pool.for_blocks(hits.size(), [&](std::size_t b) { hits[b] += 1; });
+  EXPECT_EQ(hits, std::vector<int>(8, 1));
+  EXPECT_GT(pool.take_busy_ns(), 0u);
+  EXPECT_EQ(pool.take_busy_ns(), 0u);
 }
 
 }  // namespace

@@ -258,11 +258,6 @@ void check(const char* flag, const std::string& error) {
 
 // ---- flags -> ScenarioSpec ----
 
-/// The --type families: every family scn::build_topology builds.
-constexpr const char* kTypes[] = {
-    "geometric", "grid",    "clique",          "star",
-    "line",      "bridged", "contention_star", "disjoint_cliques"};
-
 /// Expands the --topology=family:args alias (grid:32x32, geometric:256,
 /// clique:16, star:16, line:16) into the family and its size; geometry
 /// knobs (--side, --spacing, --r) still apply.
@@ -309,14 +304,13 @@ scn::ScenarioSpec compile_spec(const Flags& flags) {
     compile_alias(flags.str("topology", ""), t);
   } else {
     t.type = flags.str("type", t.type);
-    if (std::find(std::begin(kTypes), std::end(kTypes), t.type) ==
-        std::end(kTypes)) {
-      // A typo like --type=cliqe must not silently run the default family.
-      std::string valid;
-      for (const char* type : kTypes) {
-        valid += std::string(valid.empty() ? "" : ", ") + type;
-      }
-      fail("unknown --type '" + t.type + "' (valid: " + valid + ")");
+    // --type takes every family scn::build_topology builds; a typo like
+    // --type=cliqe must not silently run the default family.
+    const scn::TopologyFamily* family = scn::find_topology_family(t.type);
+    if (family == nullptr || !family->builds_graph) {
+      fail("unknown --type '" + t.type + "' (valid: " +
+           scn::topology_family_list(&scn::TopologyFamily::builds_graph) +
+           ")");
     }
   }
   // kDomains already holds side, spacing and r >= 1; what is left is
@@ -329,7 +323,8 @@ scn::ScenarioSpec compile_spec(const Flags& flags) {
   check("channel", phys::parse_channel_spec(spec.channel, spec.channel_spec));
   if (spec.channel_spec.is_sinr && !scn::topology_has_embedding(t.type)) {
     fail("--channel=sinr needs an embedded topology (" +
-         scn::embedded_topology_types() + "); got '" + t.type + "'");
+         scn::topology_family_list(&scn::TopologyFamily::embedded) +
+         "); got '" + t.type + "'");
   }
   spec.traffic = flags.str("traffic", "");
   if (!spec.traffic.empty()) {
