@@ -1,7 +1,10 @@
 #include "phys/extract.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "util/assert.h"
@@ -11,23 +14,39 @@ namespace dg::phys {
 
 namespace {
 
-/// Delivery frequency of tx -> rx over `contexts` sampled interference
-/// contexts: every node in `others` transmits independently with
-/// probability p, and tx delivers iff its signal clears beta against noise
-/// plus the sampled interference (with beta >= 1, clearing is equivalent to
-/// delivering: no second sender can clear simultaneously).
-double delivery_frequency(const SinrParams& sinr, double signal_gain,
-                          const std::vector<double>& other_gains,
-                          std::size_t contexts, double p, Rng& rng) {
-  std::size_t delivered = 0;
-  for (std::size_t k = 0; k < contexts; ++k) {
-    double interference = 0.0;
-    for (double g : other_gains) {
-      if (rng.chance(p)) interference += g;
-    }
-    if (signal_gain >= sinr.beta * (sinr.noise + interference)) ++delivered;
+/// The least delivery count c in [0, contexts] whose frequency
+/// double(c) / double(contexts) is >= `threshold`, or contexts + 1 when
+/// none is.  The frequency is non-decreasing in c, so "frequency clears the
+/// threshold" is exactly "count >= least_count".
+std::size_t least_count(double threshold, std::size_t contexts) {
+  std::size_t c = 0;
+  while (c <= contexts &&
+         !(static_cast<double>(c) / static_cast<double>(contexts) >=
+           threshold)) {
+    ++c;
   }
-  return static_cast<double>(delivered) / static_cast<double>(contexts);
+  return c;
+}
+
+/// One sampled interference context for a receiver whose other-node gains
+/// are `gains`: node i transmits iff its draw is below `coin` (chance(p),
+/// see Rng::chance_threshold), and tx delivers iff its signal clears beta
+/// against noise plus the drawn gains (with beta >= 1, clearing is
+/// equivalent to delivering: no second sender can clear simultaneously).
+/// The drawn gains are summed in ascending index order from 0.0 -- the very
+/// sum a chance-gated `+=` over all gains accumulates -- so the verdict is
+/// bit-identical to it.  `picked` holds at least gains.size() slots.
+bool context_delivers(const SinrParams& sinr, double signal_gain,
+                      const std::vector<double>& gains, std::uint64_t coin,
+                      Rng& rng, std::vector<std::uint32_t>& picked) {
+  std::size_t k = 0;
+  for (std::uint32_t i = 0; i < gains.size(); ++i) {
+    picked[k] = i;
+    k += rng.bits() < coin ? 1 : 0;
+  }
+  double interference = 0.0;
+  for (std::size_t j = 0; j < k; ++j) interference += gains[picked[j]];
+  return signal_gain >= sinr.beta * (sinr.noise + interference);
 }
 
 }  // namespace
@@ -45,6 +64,25 @@ SinrExtraction extract_dual_graph(const geo::Embedding& embedding,
   const double range_sq = range * range;
 
   enum class Class : std::uint8_t { kAbsent, kUnreliable, kReliable };
+  // A pair's class as a function of its two directions' delivery counts:
+  // reliable when both reach c_rel, unreliable when either reaches
+  // c_unrel.  Non-decreasing in each count.
+  const std::size_t contexts = params.contexts;
+  const std::size_t c_rel = least_count(params.reliable_threshold, contexts);
+  const std::size_t c_unrel =
+      least_count(params.unreliable_threshold, contexts);
+  const auto classify = [&](std::size_t c1, std::size_t c2) {
+    if (c1 >= c_rel && c2 >= c_rel) return Class::kReliable;
+    if (c1 >= c_unrel || c2 >= c_unrel) return Class::kUnreliable;
+    return Class::kAbsent;
+  };
+
+  // chance(p) draws nothing for p <= 0 or p >= 1: every context then sees
+  // no interferer or all of them, and one verdict stands for all contexts.
+  const double p = params.tx_probability;
+  const bool sampled = p > 0.0 && p < 1.0;
+  const std::uint64_t coin = sampled ? Rng::chance_threshold(p) : 0;
+
   struct Pair {
     graph::Vertex u, v;
     Class cls;
@@ -56,10 +94,45 @@ SinrExtraction extract_dual_graph(const geo::Embedding& embedding,
   double min_nonreliable_dist = kInf;  // over ALL pairs not classified reliable
   double max_edge_dist = 0.0;          // over pairs that got an edge
 
-  // Interference gain scratch: gains at the receiver from every node other
-  // than the pair itself, rebuilt per direction.
+  // Scratch: gains at the receiver from every node other than the pair
+  // itself (rebuilt per direction), and one context's drawn indices.
   std::vector<double> other_gains;
   other_gains.reserve(n);
+  std::vector<std::uint32_t> picked(n);
+
+  // Deliveries tx -> rx over the contexts, stopping before a context once
+  // `decided(count, contexts_left)` holds; returns {count, contexts_left}.
+  const auto count_deliveries = [&](graph::Vertex rx, graph::Vertex tx,
+                                    double signal_gain, Rng& rng,
+                                    auto decided) {
+    using Counted = std::pair<std::size_t, std::size_t>;
+    other_gains.clear();
+    for (graph::Vertex w = 0; w < n; ++w) {
+      if (w == rx || w == tx) continue;
+      other_gains.push_back(path_gain(
+          params.sinr, geo::distance_sq(embedding[rx], embedding[w])));
+    }
+    if (!sampled) {
+      double interference = 0.0;
+      if (p >= 1.0) {
+        for (double g : other_gains) interference += g;
+      }
+      const bool delivers =
+          signal_gain >=
+          params.sinr.beta * (params.sinr.noise + interference);
+      return Counted{delivers ? contexts : 0, 0};
+    }
+    std::size_t count = 0;
+    std::size_t left = contexts;
+    while (left > 0 && !decided(count, left)) {
+      if (context_delivers(params.sinr, signal_gain, other_gains, coin, rng,
+                           picked)) {
+        ++count;
+      }
+      --left;
+    }
+    return Counted{count, left};
+  };
 
   std::uint64_t pair_index = 0;
   for (graph::Vertex u = 0; u < n; ++u) {
@@ -72,31 +145,33 @@ SinrExtraction extract_dual_graph(const geo::Embedding& embedding,
         continue;
       }
       ++stats.candidate_pairs;
-      // One private stream per ordered pair keeps the extraction
-      // deterministic and independent of scan order.
+      // One private stream per pair keeps the extraction deterministic and
+      // independent of scan order.  Nothing reads it after the pair is
+      // classified, so sampling stops as soon as the class is fixed: the
+      // class is monotone in both counts, so it is fixed once the least and
+      // the greatest counts still reachable give the same class.  Direction
+      // 2 reads the stream after all of direction 1's draws, so direction 1
+      // stops early only when direction 2 cannot matter.
       Rng rng(seed, pair_index++);
-      double freq_min = 1.0, freq_max = 0.0;
-      for (const auto& [rx, tx] : {std::pair{u, v}, std::pair{v, u}}) {
-        other_gains.clear();
-        for (graph::Vertex w = 0; w < n; ++w) {
-          if (w == rx || w == tx) continue;
-          other_gains.push_back(path_gain(
-              params.sinr, geo::distance_sq(embedding[rx], embedding[w])));
-        }
-        const double freq = delivery_frequency(
-            params.sinr, path_gain(params.sinr, d2), other_gains,
-            params.contexts, params.tx_probability, rng);
-        freq_min = std::min(freq_min, freq);
-        freq_max = std::max(freq_max, freq);
+      const double signal_gain = path_gain(params.sinr, d2);
+      const auto dir1 = count_deliveries(
+          u, v, signal_gain, rng, [&](std::size_t c, std::size_t left) {
+            return classify(c, 0) == classify(c + left, contexts);
+          });
+      const std::size_t c1 = dir1.first;
+      Class cls = classify(c1, 0);
+      if (cls != classify(c1 + dir1.second, contexts)) {
+        const std::size_t c2 =
+            count_deliveries(v, u, signal_gain, rng,
+                             [&](std::size_t c, std::size_t left) {
+                               return classify(c1, c) ==
+                                      classify(c1, c + left);
+                             })
+                .first;
+        cls = classify(c1, c2);
       }
-      Class cls = Class::kAbsent;
-      if (freq_min >= params.reliable_threshold) {
-        cls = Class::kReliable;
-        ++stats.reliable_edges;
-      } else if (freq_max >= params.unreliable_threshold) {
-        cls = Class::kUnreliable;
-        ++stats.unreliable_edges;
-      }
+      if (cls == Class::kReliable) ++stats.reliable_edges;
+      if (cls == Class::kUnreliable) ++stats.unreliable_edges;
       if (cls != Class::kReliable) {
         min_nonreliable_dist = std::min(min_nonreliable_dist, d);
       }

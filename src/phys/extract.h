@@ -29,7 +29,26 @@
 // checkers run on it unchanged.
 //
 // Extraction is offline tooling (deployment analysis), not a round-engine
-// hot path: cost is O(candidate pairs * contexts * interferers-in-range).
+// hot path.  Each candidate pair draws from its own stream
+// Rng(seed, pair_index), and every context draws one coin for each of the
+// n - 2 other nodes (not just those in range), so the cost is
+// O(candidate pairs * contexts * n) engine draws.  Two rules cut the work
+// without changing a single output bit:
+//
+//   - the coin is an integer compare, bits() < Rng::chance_threshold(p),
+//     and only the gains of nodes that drew "transmit" are summed, in
+//     ascending order -- the same floating-point sum as the chance-gated
+//     loop, hence the same SINR verdict;
+//   - a pair stops sampling once its class is fixed whatever the remaining
+//     contexts deliver.  Nothing reads a pair's stream afterwards, so this
+//     is free; but direction 2 reads the stream after all of direction 1's
+//     contexts x (n - 2) draws, so direction 1 stops early only when the
+//     class no longer depends on direction 2 (it cannot be reliable and is
+//     already unreliable).  p <= 0 and p >= 1 draw nothing at all.
+//
+// The graph and ExtractionStats are bit-identical to sampling every
+// context of both directions (tests/phys_test.cpp keeps that body as the
+// reference).
 #pragma once
 
 #include <cstdint>

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <random>
 #include <set>
 #include <sstream>
 #include <vector>
@@ -70,6 +72,29 @@ TEST(Rng, ChanceFrequencyNearP) {
   }
   const double freq = static_cast<double>(hits) / n;
   EXPECT_NEAR(freq, 0.25, 0.02);
+}
+
+TEST(Rng, ChanceThresholdMatchesChance) {
+  // chance(p) and the integer coin bits() < chance_threshold(p) consume the
+  // same single draw and agree on every one of them.
+  for (double p : {1e-300, 0.15, 0.5, 0.99, std::nextafter(1.0, 0.0)}) {
+    const std::uint64_t t = Rng::chance_threshold(p);
+    Rng chance_rng(7, 3);
+    Rng coin_rng = chance_rng;
+    for (int i = 0; i < 100000; ++i) {
+      ASSERT_EQ(chance_rng.chance(p), coin_rng.bits() < t)
+          << "p=" << p << " draw " << i;
+    }
+    // T is the boundary: engine output T - 1 maps below p, T at or above,
+    // each through exactly one call of the fixed-output generator.
+    std::uniform_real_distribution<double> unit(0.0, 1.0);
+    OneOutputUrbg below(t - 1);
+    OneOutputUrbg at(t);
+    EXPECT_LT(unit(below), p) << "p=" << p;
+    EXPECT_GE(unit(at), p) << "p=" << p;
+    EXPECT_EQ(below.calls(), 1);
+    EXPECT_EQ(at.calls(), 1);
+  }
 }
 
 TEST(Rng, BelowStaysInRange) {
